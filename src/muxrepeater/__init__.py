@@ -12,7 +12,6 @@ from .chain import (
     RangeLimits,
     chain_time,
     expected_max_rounds,
-    f_waiting,
     mean_entanglement,
     p_enc_chain,
     p_enc_stage,
@@ -22,13 +21,11 @@ from .chain import (
 )
 from .link import (
     LinkBudget,
-    g2_from_noise,
     link_budget,
     p_eng,
     p_single,
     transmission,
     visibility_at,
-    visibility_from_g2,
 )
 from .modes import (
     ModeSpace,
@@ -63,7 +60,7 @@ from .params import (
     load_config,
     parse_config,
 )
-from .sweep import SweepRecord, optimize_nodes, q_of, record_from_plan, sweep
+from .sweep import optimize_nodes, sweep
 from .werner import average_ef, concurrence, ef_of_mode, entanglement_of_formation
 
 __version__ = "0.1.0"
@@ -86,7 +83,6 @@ __all__ = [
     "SimulationBudgetError",
     "SpdcParams",
     "StorageSummary",
-    "SweepRecord",
     "average_ef",
     "builtin_platforms",
     "chain_time",
@@ -96,8 +92,6 @@ __all__ = [
     "ef_of_mode",
     "entanglement_of_formation",
     "expected_max_rounds",
-    "f_waiting",
-    "g2_from_noise",
     "gamma_from_temperature",
     "link_budget",
     "load_config",
@@ -114,15 +108,12 @@ __all__ = [
     "p_eng_chain",
     "p_single",
     "parse_config",
-    "q_of",
     "range_limits",
-    "record_from_plan",
     "round_to_one_digit",
     "spdc_time",
     "sweep",
     "tau_of_k",
     "transmission",
     "visibility_at",
-    "visibility_from_g2",
     "weighted_average",
 ]

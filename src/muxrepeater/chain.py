@@ -114,47 +114,31 @@ def expected_max_rounds(m: int, p: float, eps: float = 1e-12) -> float:
     return _expected_max_series(m, p, eps)
 
 
-def f_waiting(n_nodes: int, p_g: float, eps: float = 1e-12,
-              count: str = "links") -> float:
-    """Waiting-time factor: p_g times the expected slowest-link round count.
-
-    ``f_waiting(n, p)/p`` multiplies the clock period in the
-    semihierarchical time budget.  ``count`` selects how many independent
-    heralding processes race: one per link (N-1, the default) or one per
-    node (N), kept switchable because either reading appears in practice.
-    """
-    if n_nodes < 2:
-        raise ValueError("a chain needs at least 2 nodes")
-    if count not in WAITING_COUNTS:
-        raise ValueError(f"count must be one of {WAITING_COUNTS}")
-    m = n_nodes - 1 if count == "links" else n_nodes
-    return p_g * expected_max_rounds(m, p_g, eps)
-
-
 def mean_entanglement(platform: PlatformParams, space: ModeSpace, t_us: float,
-                      noise: NoiseParams | None = None, links: int = 1) -> float:
+                      noise: NoiseParams | None = None) -> float:
     """Mode-averaged ebit content of one stored link after time t.
 
     Platforms with a fixed lifetime evaluate a single visibility with their
     decoherence law; mode-dependent platforms average over the wavevector
-    band.  ``links`` > 1 composes that many link visibilities multiplicatively
-    before taking the ebit content (sensitivity mode, off by default).
+    band.
     """
     noise = noise or NoiseParams()
     chi_eff = noise.effective_chi(platform)
     if platform.tau_us is None:
-        return werner.average_ef(space, t_us, chi_eff, links)
+        return werner.average_ef(space, t_us, chi_eff)
     v = link_physics.visibility_at(t_us, platform.tau_us, chi_eff,
                                    platform.decoherence)
-    if links != 1:
-        v = v ** links
     return float(werner.entanglement_of_formation(v))
 
 
 @dataclass(frozen=True)
 class ChainPlan:
-    """One evaluated chain configuration with all derived quantities (us, km)."""
+    """One evaluated chain configuration (times in us, ``*_s`` fields in s).
 
+    The per-second fields hold rate = mean_ef/t_tot_s and Q = rate/N.
+    """
+
+    platform: str
     architecture: str
     n_nodes: int
     l_km: float
@@ -169,6 +153,10 @@ class ChainPlan:
     mean_ef: float         # delivered ebits per distribution
     rate: float            # ebits per us
     rate_per_node: float   # ebits per us per node
+    t_tot_s: float
+    rate_ebit_per_s: float
+    q_ebit_per_s_per_node: float   # the figure of merit Q = R/N
+    t_per_ebit_s: float
 
 
 def _safe_div(num: float, denom: float) -> float:
@@ -177,10 +165,26 @@ def _safe_div(num: float, denom: float) -> float:
     return num / denom
 
 
+def _chain_setup(platform: PlatformParams, n_nodes: int, l_km: float,
+                 constants: PhysicalConstants):
+    """L0, clock period, link budget, P_ENC and (eta_d*eta_x)**2 of a chain."""
+    if n_nodes < 2:
+        raise ValueError("a chain needs at least 2 nodes")
+    if l_km <= 0:
+        raise ValueError("total distance must be strictly positive")
+    l0_km = l_km / (n_nodes - 1)
+    t_rep = l0_km / constants.c
+    budget = link_physics.link_budget(platform, l0_km, constants)
+    eta_det = platform.enc_detector_efficiency
+    p_e, p_f = p_enc_stage(platform.eta_r, eta_det)
+    p_enc = p_enc_chain(p_f, p_e, platform.eta_x, n_nodes)
+    eta_final = (eta_det * platform.eta_x) ** 2
+    return l0_km, t_rep, budget, p_enc, eta_final
+
+
 def chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
                l_km: float, constants: PhysicalConstants, space: ModeSpace,
                noise: NoiseParams | None = None,
-               ef_composition: str = "single_link",
                waiting_count: str = "links") -> ChainPlan:
     """Evaluate the full time budget of one chain configuration.
 
@@ -190,10 +194,8 @@ def chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
     platform, n_nodes, l_km : chain configuration; L0 = L/(N-1).
     constants, space, noise : physical inputs; ``noise`` defaults to zero
         read-out noise.
-    ef_composition : "single_link" treats the delivered ebit content as one
-        link's mode-averaged value at the architecture's storage time;
-        "product" composes N-1 link visibilities instead.
-    waiting_count : passed through to :func:`f_waiting` (semihierarchical).
+    waiting_count : heralding processes racing in the semihierarchical
+        wait, one per link ("links", N-1) or one per node ("nodes", N).
 
     Notes
     -----
@@ -203,25 +205,17 @@ def chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
     replaces T_r/P_eng by the expected slowest-link wait plus the L/c
     confirmation overhead.  Storage times are L0/c (blind) and (L+L0)/c
     (semihierarchical, first-try assumption); the stochastic refinement
-    lives in the Monte Carlo module.
+    lives in the Monte Carlo module.  A configuration whose delivered ebit
+    content is zero is still a valid record with zero rate and infinite
+    per-ebit time.
     """
     if architecture not in ARCHITECTURES:
         raise ValueError(f"architecture must be one of {ARCHITECTURES}")
-    if ef_composition not in ("single_link", "product"):
-        raise ValueError("ef_composition must be 'single_link' or 'product'")
-    if n_nodes < 2:
-        raise ValueError("a chain needs at least 2 nodes")
-    if l_km <= 0:
-        raise ValueError("total distance must be strictly positive")
-
-    l0_km = l_km / (n_nodes - 1)
-    t_rep = l0_km / constants.c
-    budget = link_physics.link_budget(platform, l0_km, constants)
-    eta_det = platform.enc_detector_efficiency
-    p_e, p_f = p_enc_stage(platform.eta_r, eta_det)
-    p_enc = p_enc_chain(p_f, p_e, platform.eta_x, n_nodes)
+    if waiting_count not in WAITING_COUNTS:
+        raise ValueError(f"waiting_count must be one of {WAITING_COUNTS}")
+    l0_km, t_rep, budget, p_enc, eta_final = _chain_setup(
+        platform, n_nodes, l_km, constants)
     p_eng = p_eng_chain(budget.p_g, n_nodes)
-    eta_final = (eta_det * platform.eta_x) ** 2
 
     if architecture == "ahierarchical":
         t_tot = _safe_div(t_rep, p_eng * p_enc * eta_final)
@@ -236,14 +230,18 @@ def chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
             t_tot = math.inf
         storage = (l_km + l0_km) / constants.c
 
-    links = n_nodes - 1 if ef_composition == "product" else 1
-    mean_ef = mean_entanglement(platform, space, storage, noise, links)
+    mean_ef = mean_entanglement(platform, space, storage, noise)
     rate = mean_ef / t_tot if math.isfinite(t_tot) else 0.0
+    t_tot_s = t_tot * 1e-6
+    rate_s = mean_ef / t_tot_s if math.isfinite(t_tot_s) else 0.0
     return ChainPlan(
-        architecture=architecture, n_nodes=n_nodes, l_km=l_km, l0_km=l0_km,
-        t_rep_us=t_rep, p1=budget.p1, p_g=budget.p_g, p_eng=p_eng,
-        p_enc=p_enc, storage_us=storage, t_tot_us=t_tot, mean_ef=mean_ef,
-        rate=rate, rate_per_node=rate / n_nodes)
+        platform=platform.name, architecture=architecture, n_nodes=n_nodes,
+        l_km=l_km, l0_km=l0_km, t_rep_us=t_rep, p1=budget.p1, p_g=budget.p_g,
+        p_eng=p_eng, p_enc=p_enc, storage_us=storage, t_tot_us=t_tot,
+        mean_ef=mean_ef, rate=rate, rate_per_node=rate / n_nodes,
+        t_tot_s=t_tot_s, rate_ebit_per_s=rate_s,
+        q_ebit_per_s_per_node=rate_s / n_nodes,
+        t_per_ebit_s=1.0 / rate_s if rate_s > 0.0 else math.inf)
 
 
 @dataclass(frozen=True)

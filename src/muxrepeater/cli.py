@@ -22,7 +22,7 @@ from . import chain, montecarlo, serialize
 from .link import link_budget
 from .modes import ModeSpace
 from .params import ConfigError, ParameterBundle, load_config
-from .sweep import SweepRecord, optimize_nodes, sweep as sweep_grid
+from .sweep import optimize_nodes, sweep as sweep_grid
 from .werner import average_ef, ef_of_mode
 
 _RECORD_HEADER = (
@@ -148,7 +148,7 @@ def _selected_platforms(bundle: ParameterBundle, names):
     return [bundle.platform(name) for name in names]
 
 
-def _record_row(record: SweepRecord) -> tuple:
+def _record_row(record: chain.ChainPlan) -> tuple:
     return (record.platform, record.architecture, record.l_km, record.n_nodes,
             record.l0_km, record.p1, record.p_g, record.p_eng, record.p_enc,
             record.mean_ef, record.t_tot_s, record.rate_ebit_per_s,
@@ -260,8 +260,7 @@ def _cmd_mc_validate(args) -> int:
                                       seed=args.seed + cell)
             racers = n_nodes - 1 if args.waiting_count == "links" else n_nodes
             estimate = montecarlo.mc_expected_max_rounds(racers, p_g, cfg)
-            analytic = chain.f_waiting(n_nodes, p_g,
-                                       count=args.waiting_count) / p_g
+            analytic = chain.expected_max_rounds(racers, p_g)
             diff = abs(analytic - estimate.mean)
             if estimate.std_error > 0:
                 z = diff / estimate.std_error

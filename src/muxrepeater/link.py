@@ -62,24 +62,6 @@ def p_eng(p1: float, modes: int, multiplexed: bool) -> float:
     return -math.expm1(n * math.log1p(-p1))
 
 
-def g2_from_noise(chi_eff: float) -> float:
-    """Write/read intensity cross-correlation 1 + 1/chi_eff.
-
-    ``chi_eff`` is the excitation probability with read-out noise folded in;
-    smaller excitation means stronger nonclassical correlation.
-    """
-    if chi_eff <= 0:
-        raise ValueError("chi_eff must be strictly positive")
-    return 1.0 + 1.0 / chi_eff
-
-
-def visibility_from_g2(g2: float) -> float:
-    """Interference visibility (g2-1)/(g2+1) of the heralded state."""
-    if g2 < 1:
-        raise ValueError("g2 must be >= 1")
-    return (g2 - 1.0) / (g2 + 1.0)
-
-
 def visibility_at(t_us, tau_us, chi_eff: float, decoherence: str = "gaussian"):
     """Visibility after storing for t in a memory with lifetime tau.
 

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (
+    _chain_setup,
     expected_max_rounds,
     mean_entanglement,
-    p_enc_chain,
-    p_enc_stage,
     p_eng_chain,
 )
-from .link import link_budget
 from .modes import ModeSpace
 from .params import NoiseParams, PhysicalConstants, PlatformParams
 
@@ -160,20 +158,8 @@ def mc_semihier_storage(n_nodes: int, p_g: float, l_km: float, l0_km: float,
                           p99_us=float(p99), samples_used=cfg.samples)
 
 
-def _chain_pieces(platform: PlatformParams, n_nodes: int, l_km: float,
-                  constants: PhysicalConstants):
-    l0_km = l_km / (n_nodes - 1)
-    t_rep = l0_km / constants.c
-    budget = link_budget(platform, l0_km, constants)
-    eta_det = platform.enc_detector_efficiency
-    p_e, p_f = p_enc_stage(platform.eta_r, eta_det)
-    p_enc = p_enc_chain(p_f, p_e, platform.eta_x, n_nodes)
-    eta_final = (eta_det * platform.eta_x) ** 2
-    return l0_km, t_rep, budget, p_enc, eta_final
-
-
 def _mc_ahierarchical(platform, n_nodes, l_km, constants, space, noise, cfg):
-    l0_km, t_rep, budget, p_enc, eta_final = _chain_pieces(
+    l0_km, t_rep, budget, p_enc, eta_final = _chain_setup(
         platform, n_nodes, l_km, constants)
     # Blind operation: every link, every connection, and the final detections
     # are independent per-period Bernoulli events, so the period count to the
@@ -219,7 +205,7 @@ def _ef_for_wait_counts(d: np.ndarray, t_rep: float, overhead: float,
 
 
 def _mc_semihierarchical(platform, n_nodes, l_km, constants, space, noise, cfg):
-    l0_km, t_rep, budget, p_enc, eta_final = _chain_pieces(
+    l0_km, t_rep, budget, p_enc, eta_final = _chain_setup(
         platform, n_nodes, l_km, constants)
     q = p_enc * eta_final
     if budget.p_g <= 0.0 or q <= 0.0:
@@ -290,10 +276,6 @@ def mc_chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
     evaluates each trial's ebit content at the realized per-link storage
     times of the final, successful pass, averaged over links.
     """
-    if n_nodes < 2:
-        raise ValueError("a chain needs at least 2 nodes")
-    if l_km <= 0:
-        raise ValueError("total distance must be strictly positive")
     if architecture == "ahierarchical":
         return _mc_ahierarchical(platform, n_nodes, l_km, constants, space,
                                  noise, cfg)

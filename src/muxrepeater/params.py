@@ -14,7 +14,6 @@ from pathlib import Path
 
 DECOHERENCE_KINDS = ("gaussian", "exponential")
 ENC_DETECTION_KINDS = ("single_mode", "multimode")
-CHI_EFF_POLICIES = ("frozen_t0",)
 GAMMA_POLICIES = ("rounded", "exact")
 
 
@@ -119,15 +118,12 @@ class ModeSpaceParams:
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Read-out noise and the rule for the effective excitation probability."""
+    """Read-out noise in the retrieval path."""
 
-    B: float = 0.0                      # noise-photon probability per shot
-    chi_eff_policy: str = "frozen_t0"   # chi_eff = chi + B/eta_r at t = 0
+    B: float = 0.0   # noise-photon probability per shot
 
     def __post_init__(self) -> None:
         _require(self.B >= 0, "B", "must be non-negative")
-        _require(self.chi_eff_policy in CHI_EFF_POLICIES, "chi_eff_policy",
-                 f"must be one of {CHI_EFF_POLICIES}")
 
     def effective_chi(self, platform: PlatformParams) -> float:
         """Excitation probability with read-out noise folded in at t = 0."""
@@ -225,7 +221,7 @@ _MODE_SPACE_KEYS = {
     "grid_points": "grid_points",
     "gamma_policy": "gamma_policy",
 }
-_NOISE_KEYS = {"B": "B", "chi_eff_policy": "chi_eff_policy"}
+_NOISE_KEYS = {"B": "B"}
 _SPDC_KEYS = {"f_rep": "f_rep", "chi": "chi", "eta_s": "eta_s",
               "visibility": "visibility"}
 _PLATFORM_KEYS = {
@@ -244,12 +240,6 @@ _PLATFORM_KEYS = {
 _TOP_LEVEL_KEYS = ("constants", "mode_space", "noise", "spdc", "platforms")
 
 
-def _check_number(value, key: str, allow_int: bool = True) -> float:
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    _require(ok, key, f"expected a number, got {value!r}")
-    return value
-
-
 def _build_section(cls, data: dict, key_map: dict[str, str], section: str):
     unknown = set(data) - set(key_map)
     _require(not unknown, section, f"unknown keys {sorted(unknown)}")
@@ -258,8 +248,7 @@ def _build_section(cls, data: dict, key_map: dict[str, str], section: str):
         field_name = key_map[key]
         if key in ("multiplexed",):
             _require(isinstance(value, bool), key, f"expected a boolean, got {value!r}")
-        elif key in ("name", "enc_detection", "decoherence", "chi_eff_policy",
-                     "gamma_policy"):
+        elif key in ("name", "enc_detection", "decoherence", "gamma_policy"):
             _require(isinstance(value, str), key, f"expected a string, got {value!r}")
         elif key in ("M", "grid_points"):
             _require(isinstance(value, int) and not isinstance(value, bool), key,
@@ -267,7 +256,8 @@ def _build_section(cls, data: dict, key_map: dict[str, str], section: str):
         elif key == "tau_ms" and value is None:
             pass
         else:
-            _check_number(value, key)
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+            _require(ok, key, f"expected a number, got {value!r}")
         kwargs[field_name] = value
     return cls(**kwargs)
 

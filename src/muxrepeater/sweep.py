@@ -1,15 +1,12 @@
 """Distance sweeps and node-count optimization of the per-node ebit rate.
 
 The figure of merit is Q(N, L) = R(N, L)/N, the delivered ebit rate per
-employed repeater node; N*(L) is its exhaustive integer argmax.  Records
-carry times in seconds so the stated identities (rate = mean_ef/t_tot and
-q * n * t_tot = mean_ef) hold in the record's own units.
+employed repeater node; N*(L) is its exhaustive integer argmax over the
+records that :func:`muxrepeater.chain.chain_time` returns.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .chain import ChainPlan, chain_time
@@ -17,57 +14,11 @@ from .modes import ModeSpace
 from .params import NoiseParams, PhysicalConstants, PlatformParams
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One evaluated (platform, architecture, L, N) point."""
-
-    platform: str
-    architecture: str
-    l_km: float
-    n_nodes: int
-    l0_km: float
-    p1: float
-    p_g: float
-    p_eng: float
-    p_enc: float
-    mean_ef: float
-    t_tot_s: float
-    rate_ebit_per_s: float
-    q_ebit_per_s_per_node: float
-    t_per_ebit_s: float
-
-
-def record_from_plan(platform_name: str, plan: ChainPlan) -> SweepRecord:
-    t_tot_s = plan.t_tot_us * 1e-6
-    rate = plan.mean_ef / t_tot_s if math.isfinite(t_tot_s) else 0.0
-    q = rate / plan.n_nodes
-    t_per_ebit = 1.0 / rate if rate > 0.0 else math.inf
-    return SweepRecord(
-        platform=platform_name, architecture=plan.architecture,
-        l_km=plan.l_km, n_nodes=plan.n_nodes, l0_km=plan.l0_km,
-        p1=plan.p1, p_g=plan.p_g, p_eng=plan.p_eng, p_enc=plan.p_enc,
-        mean_ef=plan.mean_ef, t_tot_s=t_tot_s, rate_ebit_per_s=rate,
-        q_ebit_per_s_per_node=q, t_per_ebit_s=t_per_ebit)
-
-
-def q_of(n_nodes: int, l_km: float, platform: PlatformParams, architecture: str,
-         constants: PhysicalConstants, space: ModeSpace,
-         noise: NoiseParams | None = None, **chain_kwargs) -> SweepRecord:
-    """Evaluate one chain configuration into a sweep record.
-
-    A configuration whose delivered ebit content is zero is still a valid
-    record with zero rate and infinite per-ebit time.
-    """
-    plan = chain_time(architecture, platform, n_nodes, l_km, constants, space,
-                      noise, **chain_kwargs)
-    return record_from_plan(platform.name, plan)
-
-
 def optimize_nodes(l_km: float, platform: PlatformParams, architecture: str,
                    constants: PhysicalConstants, space: ModeSpace,
                    noise: NoiseParams | None = None,
                    n_range: Sequence[int] = range(2, 201),
-                   **chain_kwargs) -> tuple[int, SweepRecord]:
+                   **chain_kwargs) -> tuple[int, ChainPlan]:
     """Exhaustive argmax of the per-node rate over the node-count range.
 
     No unimodality is assumed: the ceil/floor alternation in the connection
@@ -78,10 +29,10 @@ def optimize_nodes(l_km: float, platform: PlatformParams, architecture: str,
         raise ValueError("n_range must be non-empty")
     if min(n_values) < 2:
         raise ValueError("node counts below 2 are not valid chains")
-    best: SweepRecord | None = None
+    best: ChainPlan | None = None
     for n in n_values:
-        record = q_of(n, l_km, platform, architecture, constants, space,
-                      noise, **chain_kwargs)
+        record = chain_time(architecture, platform, n, l_km, constants, space,
+                            noise, **chain_kwargs)
         if best is None or record.q_ebit_per_s_per_node > best.q_ebit_per_s_per_node:
             best = record
     assert best is not None
@@ -92,7 +43,7 @@ def sweep(l_grid_km: Iterable[float], platforms: Sequence[PlatformParams],
           architectures: Sequence[str], constants: PhysicalConstants,
           space: ModeSpace, noise: NoiseParams | None = None,
           n_range: Sequence[int] = range(2, 201),
-          **chain_kwargs) -> list[SweepRecord]:
+          **chain_kwargs) -> list[ChainPlan]:
     """One optimized record per (L, platform, architecture) grid point.
 
     Output order is deterministic: distance-major, then platform order as

@@ -62,21 +62,15 @@ def ef_of_mode(k_inv_mm, t_us: float, chi_eff: float, space: ModeSpace):
     return entanglement_of_formation(v)
 
 
-def average_ef(space: ModeSpace, t_us: float, chi_eff: float,
-               links: int = 1) -> float:
+def average_ef(space: ModeSpace, t_us: float, chi_eff: float) -> float:
     """Density-weighted spectral average of the ebit content at time t.
 
-    ``links`` > 1 composes the visibility of that many concatenated links
-    (the white-noise parameter multiplies under connection) before taking
-    the ebit content; the default treats the delivered state as carrying a
-    single link's visibility.  Modes past their entanglement cutoff
-    contribute zero and stay in the average.
+    The delivered state carries a single link's visibility.  Modes past
+    their entanglement cutoff contribute zero and stay in the average.
     """
     def integrand(k: np.ndarray) -> np.ndarray:
         tau = space.gamma / k
         v = link.visibility_at(t_us, tau, chi_eff, "gaussian")
-        if links != 1:
-            v = v ** links
         return entanglement_of_formation(v)
 
     return weighted_average(space, integrand)

@@ -9,7 +9,6 @@ from muxrepeater.chain import (
     _expected_max_series,
     chain_time,
     expected_max_rounds,
-    f_waiting,
     mean_entanglement,
     p_enc_chain,
     p_enc_stage,
@@ -89,14 +88,14 @@ class TestChainProbabilities:
 class TestWaitingFactor:
     def test_single_link_is_geometric_mean(self):
         for p in (0.01, 0.3, 0.9):
-            assert f_waiting(2, p) / p == pytest.approx(1.0 / p, rel=1e-12)
+            assert expected_max_rounds(1, p) == pytest.approx(1.0 / p, rel=1e-12)
 
     def test_two_links_half(self):
-        assert f_waiting(3, 0.5) / 0.5 == pytest.approx(8.0 / 3.0, rel=1e-12)
+        assert expected_max_rounds(2, 0.5) == pytest.approx(8.0 / 3.0, rel=1e-12)
 
     def test_deterministic_success(self):
-        for n in (2, 5, 50):
-            assert f_waiting(n, 1.0) == 1.0
+        for m in (1, 4, 49):
+            assert expected_max_rounds(m, 1.0) == 1.0
 
     def test_inclusion_exclusion_oracles(self):
         assert expected_max_rounds(2, 0.3) == \
@@ -106,13 +105,30 @@ class TestWaitingFactor:
 
     def test_rejects_zero_probability(self):
         with pytest.raises(ValueError):
-            f_waiting(3, 0.0)
+            expected_max_rounds(2, 0.0)
 
     def test_node_count_switch(self):
         # counting one process per node races one more variable than per link
-        assert f_waiting(3, 0.4, count="nodes") > f_waiting(3, 0.4, count="links")
-        assert f_waiting(3, 0.4, count="nodes") == \
-            pytest.approx(f_waiting(4, 0.4, count="links"), rel=1e-12)
+        bundle, space = bundle_and_space()
+        temporal = bundle.platform("Temporal")
+        by_links, by_nodes = (
+            chain_time("semihierarchical", temporal, 3, 200.0,
+                       bundle.constants, space, waiting_count=count)
+            for count in ("links", "nodes"))
+        assert by_nodes.t_tot_us > by_links.t_tot_us
+        eta_final = (temporal.eta_s * temporal.eta_x) ** 2
+        for plan, racers in ((by_links, 2), (by_nodes, 3)):
+            waits = expected_max_rounds(racers, plan.p_g)
+            eng_time = plan.t_rep_us * waits + 200.0 / bundle.constants.c
+            assert plan.t_tot_us == pytest.approx(
+                eng_time / (plan.p_enc * eta_final), rel=1e-12)
+
+    def test_unknown_waiting_count_rejected(self):
+        bundle, space = bundle_and_space()
+        wv = bundle.platform("WV-MUX-QM")
+        with pytest.raises(ValueError, match="waiting_count"):
+            chain_time("semihierarchical", wv, 5, 900.0, bundle.constants,
+                       space, waiting_count="link")
 
     def test_branch_crossover_consistency(self):
         for m in (2, 5, 49, 199):
@@ -121,14 +137,14 @@ class TestWaitingFactor:
                 asym = _expected_max_asymptotic(m, p)
                 assert asym == pytest.approx(series, rel=1e-9)
 
-    @given(st.integers(2, 60), st.floats(0.01, 1.0))
+    @given(st.integers(1, 59), st.floats(0.01, 1.0))
     @settings(max_examples=60, deadline=None)
-    def test_dominates_single_link(self, n, p):
-        assert f_waiting(n, p) / p >= 1.0 / p - 1e-12
+    def test_dominates_single_link(self, m, p):
+        assert expected_max_rounds(m, p) >= 1.0 / p - 1e-12
 
     def test_monotone_in_nodes(self):
         for p in (0.05, 0.5, 0.95):
-            values = [f_waiting(n, p) / p for n in range(2, 40)]
+            values = [expected_max_rounds(m, p) for m in range(1, 39)]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -217,16 +233,6 @@ class TestChainTime:
         assert math.isinf(plan.t_tot_us)
         assert plan.rate == 0.0
         assert plan.rate_per_node == 0.0
-
-    def test_product_composition_reduces_content(self):
-        bundle, space = bundle_and_space()
-        wv = bundle.platform("WV-MUX-QM")
-        single = chain_time("ahierarchical", wv, 5, 550.0, bundle.constants,
-                            space)
-        composed = chain_time("ahierarchical", wv, 5, 550.0, bundle.constants,
-                              space, ef_composition="product")
-        assert composed.mean_ef < single.mean_ef
-        assert composed.t_tot_us == single.t_tot_us
 
     def test_rejects_bad_arguments(self):
         bundle, space = bundle_and_space()

@@ -1,5 +1,6 @@
 import json
 
+from muxrepeater.chain import expected_max_rounds
 from muxrepeater.cli import run
 from muxrepeater.serialize import csv_text, format_csv_value, json_text
 
@@ -51,6 +52,12 @@ class TestCommands:
              "decoherence": "exponential", "tau_ms": 1.0}]}))
         assert run(["presets", "--config", str(cfg)]) == 3
         assert "chi" in capsys.readouterr().err
+
+    def test_removed_chi_eff_policy_key_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"noise": {"chi_eff_policy": "frozen_t0"}}))
+        assert run(["presets", "--config", str(cfg)]) == 3
+        assert "chi_eff_policy" in capsys.readouterr().err
 
     def test_unknown_platform_exits_3(self, capsys):
         assert run(["optimize", "--platform", "nonesuch",
@@ -115,6 +122,18 @@ class TestCommands:
         # 16 grid cells plus the end-to-end chain row
         assert len(lines) == 1 + 16 + 1
         assert all(line.endswith(",true") for line in lines[1:])
+
+    def test_mc_validate_analytic_counts_nodes(self, capsys):
+        # with one heralding process per node, N processes race
+        assert run(["mc-validate", "--samples", "2000", "--chain-samples", "0",
+                    "--waiting-count", "nodes", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 16
+        for row in rows:
+            assert row["analytic"] == expected_max_rounds(row["n_nodes"],
+                                                          row["p_g"])
+        by_cell = {(row["n_nodes"], row["p_g"]): row for row in rows}
+        assert abs(by_cell[2, 0.1]["analytic"] - 280.0 / 19.0) < 1e-13
 
 
 class TestDeterminism:

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from muxrepeater.link import (
-    g2_from_noise,
     link_budget,
     p_eng,
     p_single,
     transmission,
     visibility_at,
-    visibility_from_g2,
 )
 from muxrepeater.params import PhysicalConstants, builtin_platforms
 
@@ -89,32 +87,6 @@ class TestHeraldingProbability:
         val = p_eng(p1, 5500, True)
         assert val == pytest.approx(-math.expm1(-5500 ** 2 * p1), rel=1e-6)
         assert 0.0 < val < 1.0
-
-
-class TestCorrelationAndVisibility:
-    def test_g2_values(self):
-        assert g2_from_noise(0.05) == pytest.approx(21.0, rel=1e-12)
-        assert g2_from_noise(1.0) == pytest.approx(2.0, rel=1e-12)
-        assert g2_from_noise(0.5) == pytest.approx(3.0, rel=1e-12)
-
-    def test_g2_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            g2_from_noise(0.0)
-
-    def test_visibility_endpoints(self):
-        assert visibility_from_g2(1.0) == 0.0
-        assert visibility_from_g2(21.0) == pytest.approx(10.0 / 11.0, rel=1e-12)
-        assert visibility_from_g2(1e12) == pytest.approx(1.0, rel=1e-9)
-
-    def test_visibility_rejects_below_one(self):
-        with pytest.raises(ValueError):
-            visibility_from_g2(0.99)
-
-    @given(st.floats(1e-6, 1.0))
-    def test_noise_composition_identity(self, chi_eff):
-        # V(g2(chi)) must equal 1/(1 + 2 chi) identically
-        lhs = visibility_from_g2(g2_from_noise(chi_eff))
-        assert lhs == pytest.approx(1.0 / (1.0 + 2.0 * chi_eff), rel=1e-12)
 
 
 class TestVisibilityDecay:

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from muxrepeater.chain import chain_time
 from muxrepeater.modes import ModeSpace
 from muxrepeater.params import default_bundle
-from muxrepeater.sweep import optimize_nodes, q_of, sweep
+from muxrepeater.sweep import optimize_nodes, sweep
 
 
 def bundle_and_space():
@@ -16,7 +17,8 @@ class TestRecordInvariants:
         bundle, space = bundle_and_space()
         for platform in bundle.platforms:
             for arch in ("ahierarchical", "semihierarchical"):
-                rec = q_of(5, 500.0, platform, arch, bundle.constants, space)
+                rec = chain_time(arch, platform, 5, 500.0, bundle.constants,
+                                 space)
                 if not math.isfinite(rec.t_tot_s):
                     assert rec.rate_ebit_per_s == 0.0
                     continue
@@ -33,7 +35,8 @@ class TestRecordInvariants:
         bundle, space = bundle_and_space()
         temporal = bundle.platform("Temporal")
         # storage far past the temporal platform's entanglement cutoff
-        rec = q_of(2, 400.0, temporal, "ahierarchical", bundle.constants, space)
+        rec = chain_time("ahierarchical", temporal, 2, 400.0, bundle.constants,
+                         space)
         assert rec.mean_ef == 0.0
         assert rec.rate_ebit_per_s == 0.0
         assert rec.q_ebit_per_s_per_node == 0.0
@@ -49,7 +52,8 @@ class TestOptimizeNodes:
                                       n_range=range(2, 31))
         assert best.n_nodes == n_star
         for n in range(2, 31):
-            rec = q_of(n, 550.0, wv, "ahierarchical", bundle.constants, space)
+            rec = chain_time("ahierarchical", wv, n, 550.0, bundle.constants,
+                             space)
             assert best.q_ebit_per_s_per_node >= rec.q_ebit_per_s_per_node
 
     def test_all_zero_ties_break_to_smallest(self):

@@ -139,9 +139,3 @@ class TestAverageEbitContent:
         space = ModeSpace.default()
         assert average_ef(space, 750.0, 0.05) == \
             pytest.approx(AVG_EF_T750, rel=1e-6)
-
-    def test_composition_reduces_content(self):
-        space = ModeSpace.default()
-        single = average_ef(space, 200.0, 0.05, links=1)
-        composed = average_ef(space, 200.0, 0.05, links=4)
-        assert composed < single
