@@ -41,10 +41,8 @@ from .montecarlo import (
     McConfig,
     McEstimate,
     SimulationBudgetError,
-    StorageSummary,
     mc_chain_time,
     mc_expected_max_rounds,
-    mc_semihier_storage,
 )
 from .params import (
     ConfigError,
@@ -82,7 +80,6 @@ __all__ = [
     "RangeLimits",
     "SimulationBudgetError",
     "SpdcParams",
-    "StorageSummary",
     "average_ef",
     "builtin_platforms",
     "chain_time",
@@ -97,7 +94,6 @@ __all__ = [
     "load_config",
     "mc_chain_time",
     "mc_expected_max_rounds",
-    "mc_semihier_storage",
     "mean_entanglement",
     "mode_count",
     "mode_measure",

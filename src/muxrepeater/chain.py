@@ -151,8 +151,6 @@ class ChainPlan:
     storage_us: float      # memory time entering the ebit-content average
     t_tot_us: float        # mean time per successful distribution
     mean_ef: float         # delivered ebits per distribution
-    rate: float            # ebits per us
-    rate_per_node: float   # ebits per us per node
     t_tot_s: float
     rate_ebit_per_s: float
     q_ebit_per_s_per_node: float   # the figure of merit Q = R/N
@@ -231,15 +229,13 @@ def chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
         storage = (l_km + l0_km) / constants.c
 
     mean_ef = mean_entanglement(platform, space, storage, noise)
-    rate = mean_ef / t_tot if math.isfinite(t_tot) else 0.0
     t_tot_s = t_tot * 1e-6
     rate_s = mean_ef / t_tot_s if math.isfinite(t_tot_s) else 0.0
     return ChainPlan(
         platform=platform.name, architecture=architecture, n_nodes=n_nodes,
         l_km=l_km, l0_km=l0_km, t_rep_us=t_rep, p1=budget.p1, p_g=budget.p_g,
         p_eng=p_eng, p_enc=p_enc, storage_us=storage, t_tot_us=t_tot,
-        mean_ef=mean_ef, rate=rate, rate_per_node=rate / n_nodes,
-        t_tot_s=t_tot_s, rate_ebit_per_s=rate_s,
+        mean_ef=mean_ef, t_tot_s=t_tot_s, rate_ebit_per_s=rate_s,
         q_ebit_per_s_per_node=rate_s / n_nodes,
         t_per_ebit_s=1.0 / rate_s if rate_s > 0.0 else math.inf)
 

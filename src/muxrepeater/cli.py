@@ -25,11 +25,17 @@ from .params import ConfigError, ParameterBundle, load_config
 from .sweep import optimize_nodes, sweep as sweep_grid
 from .werner import average_ef, ef_of_mode
 
-_RECORD_HEADER = (
-    "platform", "architecture", "L_km", "N", "L0_km", "p1", "p_g",
-    "P_ENG", "P_ENC", "mean_EF", "T_tot_s", "R_ebit_per_s",
-    "Q_ebit_per_s_per_node", "T_per_ebit_s",
+# (column, ChainPlan field): the one source of record header and row order
+_RECORD_COLUMNS = (
+    ("platform", "platform"), ("architecture", "architecture"),
+    ("L_km", "l_km"), ("N", "n_nodes"), ("L0_km", "l0_km"), ("p1", "p1"),
+    ("p_g", "p_g"), ("P_ENG", "p_eng"), ("P_ENC", "p_enc"),
+    ("mean_EF", "mean_ef"), ("T_tot_s", "t_tot_s"),
+    ("R_ebit_per_s", "rate_ebit_per_s"),
+    ("Q_ebit_per_s_per_node", "q_ebit_per_s_per_node"),
+    ("T_per_ebit_s", "t_per_ebit_s"),
 )
+_RECORD_HEADER = tuple(column for column, _ in _RECORD_COLUMNS)
 
 _MC_GRID_NODES = (2, 5, 10, 50)
 _MC_GRID_PROBS = (0.01, 0.1, 0.5, 0.9)
@@ -149,10 +155,15 @@ def _selected_platforms(bundle: ParameterBundle, names):
 
 
 def _record_row(record: chain.ChainPlan) -> tuple:
-    return (record.platform, record.architecture, record.l_km, record.n_nodes,
-            record.l0_km, record.p1, record.p_g, record.p_eng, record.p_enc,
-            record.mean_ef, record.t_tot_s, record.rate_ebit_per_s,
-            record.q_ebit_per_s_per_node, record.t_per_ebit_s)
+    return tuple(getattr(record, field) for _, field in _RECORD_COLUMNS)
+
+
+def _z_score(analytic: float, estimate: montecarlo.McEstimate) -> float:
+    """|analytic - mean| in standard errors; 0 or inf at zero error."""
+    diff = abs(analytic - estimate.mean)
+    if estimate.std_error > 0:
+        return diff / estimate.std_error
+    return 0.0 if diff == 0.0 else math.inf
 
 
 def _cmd_presets(args) -> int:
@@ -203,8 +214,10 @@ def _cmd_rate_curve(args) -> int:
             t_us = chain.spdc_time(l_km, bundle.spdc, bundle.constants)
             t_s = t_us * 1e-6
             rate = 1.0 / t_s if math.isfinite(t_s) and t_s > 0 else 0.0
-            rows.append(("SPDC", "direct", l_km, None, None, None, None,
-                         None, None, 1.0, t_s, rate, None, t_s))
+            spdc = {"platform": "SPDC", "architecture": "direct",
+                    "L_km": l_km, "mean_EF": 1.0, "T_tot_s": t_s,
+                    "R_ebit_per_s": rate, "T_per_ebit_s": t_s}
+            rows.append(tuple(spdc.get(column) for column in _RECORD_HEADER))
     _emit(args, _RECORD_HEADER, rows)
     return 0
 
@@ -261,11 +274,7 @@ def _cmd_mc_validate(args) -> int:
             racers = n_nodes - 1 if args.waiting_count == "links" else n_nodes
             estimate = montecarlo.mc_expected_max_rounds(racers, p_g, cfg)
             analytic = chain.expected_max_rounds(racers, p_g)
-            diff = abs(analytic - estimate.mean)
-            if estimate.std_error > 0:
-                z = diff / estimate.std_error
-            else:
-                z = 0.0 if diff == 0.0 else math.inf
+            z = _z_score(analytic, estimate)
             passed = z <= 3.0
             all_passed &= passed
             rows.append(("waiting_rounds", n_nodes, p_g, analytic,
@@ -280,9 +289,7 @@ def _cmd_mc_validate(args) -> int:
         result = montecarlo.mc_chain_time("ahierarchical", platform, 5, 550.0,
                                           bundle.constants, space, cfg,
                                           bundle.noise)
-        diff = abs(plan.t_tot_us - result.t_tot_us.mean)
-        z = diff / result.t_tot_us.std_error if result.t_tot_us.std_error > 0 \
-            else (0.0 if diff == 0.0 else math.inf)
+        z = _z_score(plan.t_tot_us, result.t_tot_us)
         passed = z <= 3.0
         all_passed &= passed
         rows.append(("chain_t_tot_us", 5, plan.p_g, plan.t_tot_us,

@@ -57,17 +57,6 @@ class McEstimate:
 
 
 @dataclass(frozen=True)
-class StorageSummary:
-    """Per-memory storage-time distribution over trials and links (us)."""
-
-    mean_us: float
-    p50_us: float
-    p90_us: float
-    p99_us: float
-    samples_used: int
-
-
-@dataclass(frozen=True)
 class ChainMcResult:
     t_tot_us: McEstimate
     mean_ef: McEstimate
@@ -90,6 +79,26 @@ def _estimate(total: float, total_sq: float, n: int) -> McEstimate:
     return McEstimate(mean=mean, std_error=std_error, samples_used=n)
 
 
+def _slowest_rounds(p: float, links: int, cfg: McConfig,
+                    what: str) -> McEstimate:
+    """Mean over trials of the slowest of ``links`` geometric(p) rounds."""
+    rng = np.random.default_rng(cfg.seed)
+    total = 0
+    total_sq = 0.0
+    flagged = 0
+    remaining = cfg.samples
+    while remaining > 0:
+        b = min(_TRIAL_CHUNK, remaining)
+        mx = rng.geometric(p, size=(b, links)).max(axis=1)
+        flagged += int(np.count_nonzero(mx > cfg.max_rounds))
+        total += int(mx.sum())
+        mxf = mx.astype(float)
+        total_sq += float(np.sum(mxf * mxf))
+        remaining -= b
+    _check_flagged(flagged, cfg.samples, what)
+    return _estimate(float(total), total_sq, cfg.samples)
+
+
 def mc_expected_max_rounds(n_links: int, p_g: float, cfg: McConfig) -> McEstimate:
     """Sample mean of the slowest link's heralding round over n_links links.
 
@@ -100,62 +109,7 @@ def mc_expected_max_rounds(n_links: int, p_g: float, cfg: McConfig) -> McEstimat
         raise ValueError("n_links must be >= 1")
     if not 0.0 < p_g <= 1.0:
         raise ValueError("p_g must lie in (0, 1]")
-    rng = np.random.default_rng(cfg.seed)
-    total = 0
-    total_sq = 0.0
-    flagged = 0
-    remaining = cfg.samples
-    while remaining > 0:
-        b = min(_TRIAL_CHUNK, remaining)
-        draws = rng.geometric(p_g, size=(b, n_links))
-        mx = draws.max(axis=1)
-        flagged += int(np.count_nonzero(mx > cfg.max_rounds))
-        total += int(mx.sum())
-        mxf = mx.astype(float)
-        total_sq += float(np.sum(mxf * mxf))
-        remaining -= b
-    _check_flagged(flagged, cfg.samples, "slowest-link waiting rounds")
-    return _estimate(float(total), total_sq, cfg.samples)
-
-
-def mc_semihier_storage(n_nodes: int, p_g: float, l_km: float, l0_km: float,
-                        c: float, cfg: McConfig) -> StorageSummary:
-    """Distribution of per-memory storage times in one held-and-confirmed pass.
-
-    Each trial draws the heralding round of every link; a link that heralded
-    at round j then stores for (j_max - j) clock periods until the slowest
-    link finishes, plus the L/c two-way confirmation with the central
-    station.  Returns the mean and the 50/90/99th percentiles over all
-    (trial, link) memories.  Memory use is samples*(n_nodes-1) doubles.
-    """
-    if n_nodes < 2:
-        raise ValueError("a chain needs at least 2 nodes")
-    if not 0.0 < p_g <= 1.0:
-        raise ValueError("p_g must lie in (0, 1]")
-    rng = np.random.default_rng(cfg.seed)
-    m = n_nodes - 1
-    t_rep = l0_km / c
-    overhead = l_km / c
-    waits = []
-    total_d = 0
-    flagged = 0
-    remaining = cfg.samples
-    while remaining > 0:
-        b = min(_TRIAL_CHUNK, remaining)
-        draws = rng.geometric(p_g, size=(b, m))
-        mx = draws.max(axis=1)
-        flagged += int(np.count_nonzero(mx > cfg.max_rounds))
-        d = mx[:, None] - draws
-        total_d += int(d.sum())
-        waits.append(d.astype(float).ravel())
-        remaining -= b
-    _check_flagged(flagged, cfg.samples, "held-link storage times")
-    all_d = np.concatenate(waits) if len(waits) > 1 else waits[0]
-    storage = all_d * t_rep + overhead
-    p50, p90, p99 = np.percentile(storage, [50.0, 90.0, 99.0])
-    mean = (total_d / (cfg.samples * m)) * t_rep + overhead
-    return StorageSummary(mean_us=mean, p50_us=float(p50), p90_us=float(p90),
-                          p99_us=float(p99), samples_used=cfg.samples)
+    return _slowest_rounds(p_g, n_links, cfg, "slowest-link waiting rounds")
 
 
 def _mc_ahierarchical(platform, n_nodes, l_km, constants, space, noise, cfg):
@@ -171,21 +125,7 @@ def _mc_ahierarchical(platform, n_nodes, l_km, constants, space, noise, cfg):
     if 1.0 / p_round > cfg.max_rounds:
         raise SimulationBudgetError(
             "expected rounds per sample exceed max_rounds")
-    rng = np.random.default_rng(cfg.seed)
-    total = 0
-    total_sq = 0.0
-    flagged = 0
-    remaining = cfg.samples
-    while remaining > 0:
-        b = min(_TRIAL_CHUNK, remaining)
-        rounds = rng.geometric(p_round, size=b)
-        flagged += int(np.count_nonzero(rounds > cfg.max_rounds))
-        total += int(rounds.sum())
-        rf = rounds.astype(float)
-        total_sq += float(np.sum(rf * rf))
-        remaining -= b
-    _check_flagged(flagged, cfg.samples, "blind-protocol rounds")
-    rounds_est = _estimate(float(total), total_sq, cfg.samples)
+    rounds_est = _slowest_rounds(p_round, 1, cfg, "blind-protocol rounds")
     ef = mean_entanglement(platform, space, t_rep, noise)
     return ChainMcResult(
         t_tot_us=McEstimate(mean=rounds_est.mean * t_rep,
@@ -247,8 +187,7 @@ def _mc_semihierarchical(platform, n_nodes, l_km, constants, space, noise, cfg):
             sel = (last_idx >= start) & (last_idx < stop)
             last_draws[sel] = draws[last_idx[sel] - start]
             start = stop
-        offsets = np.concatenate(([0], np.cumsum(attempts)[:-1]))
-        rounds = np.add.reduceat(phase_max, offsets)
+        rounds = np.add.reduceat(phase_max, last_idx + 1 - attempts)
         flagged += int(np.count_nonzero(rounds > cfg.max_rounds))
         t_trial = rounds.astype(float) * t_rep + attempts.astype(float) * overhead
         sum_t += float(np.sum(t_trial))

@@ -231,8 +231,8 @@ class TestChainTime:
                           bundle.constants, space)
         assert plan.p_g < 1e-300
         assert math.isinf(plan.t_tot_us)
-        assert plan.rate == 0.0
-        assert plan.rate_per_node == 0.0
+        assert plan.rate_ebit_per_s == 0.0
+        assert plan.q_ebit_per_s_per_node == 0.0
 
     def test_rejects_bad_arguments(self):
         bundle, space = bundle_and_space()

@@ -1,15 +1,20 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from muxrepeater.chain import chain_time, expected_max_rounds
+from muxrepeater.chain import (
+    _chain_setup,
+    chain_time,
+    expected_max_rounds,
+    p_eng_chain,
+)
 from muxrepeater.modes import ModeSpace
 from muxrepeater.montecarlo import (
     McConfig,
     SimulationBudgetError,
     mc_chain_time,
     mc_expected_max_rounds,
-    mc_semihier_storage,
 )
 from muxrepeater.params import PhysicalConstants, default_bundle
 
@@ -51,32 +56,6 @@ class TestExpectedMaxRounds:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             mc_expected_max_rounds(2, 0.0, McConfig(samples=10))
-
-
-class TestSemihierStorage:
-    def test_sure_heralding_leaves_only_overhead(self):
-        summary = mc_semihier_storage(4, 1.0, 300.0, 100.0, 0.2,
-                                      McConfig(samples=20_000, seed=6))
-        assert summary.mean_us == 300.0 / 0.2
-        assert summary.p50_us == summary.p99_us == 300.0 / 0.2
-
-    def test_two_nodes_single_link(self):
-        summary = mc_semihier_storage(2, 0.5, 200.0, 200.0, 0.2,
-                                      McConfig(samples=20_000, seed=7))
-        # one link waits for itself only
-        assert summary.mean_us == 200.0 / 0.2
-
-    def test_three_node_closed_form_mean(self):
-        # E[max of two geometrics] - E[geometric] = 8/3 - 2 = 2/3 periods
-        summary = mc_semihier_storage(3, 0.5, 200.0, 100.0, 0.2,
-                                      McConfig(samples=400_000, seed=8))
-        expected = (2.0 / 3.0) * (100.0 / 0.2) + 200.0 / 0.2
-        assert summary.mean_us == pytest.approx(expected, rel=5e-3)
-
-    def test_percentiles_ordered(self):
-        summary = mc_semihier_storage(5, 0.2, 400.0, 100.0, 0.2,
-                                      McConfig(samples=50_000, seed=9))
-        assert summary.p50_us <= summary.p90_us <= summary.p99_us
 
 
 class TestChainTime:
@@ -154,3 +133,30 @@ class TestChainTime:
             mc_chain_time("ahierarchical", lattice, 2, 16_000.0,
                           self.bundle.constants, self.space,
                           McConfig(samples=100, seed=16))
+
+
+class TestDrawStream:
+    """Estimates equal a direct draw from ``default_rng(seed)``.
+
+    70,000 samples span two trial chunks, so these also pin that chunking
+    leaves the draw stream unchanged.
+    """
+
+    @pytest.mark.parametrize("m, p, seed", [
+        (1, 0.5, 21), (3, 0.3, 22), (9, 0.05, 23), (49, 0.9, 24)])
+    def test_slowest_link_matches_direct_draw(self, m, p, seed):
+        est = mc_expected_max_rounds(m, p, McConfig(samples=70_000, seed=seed))
+        direct = np.random.default_rng(seed).geometric(p, size=(70_000, m))
+        assert est.mean == direct.max(axis=1).mean()
+
+    def test_blind_chain_matches_direct_draw(self):
+        bundle = default_bundle()
+        wv = bundle.platform("WV-MUX-QM")
+        _, t_rep, budget, p_enc, eta_final = _chain_setup(
+            wv, 5, 550.0, bundle.constants)
+        p_round = p_eng_chain(budget.p_g, 5) * p_enc * eta_final
+        result = mc_chain_time("ahierarchical", wv, 5, 550.0,
+                               bundle.constants, ModeSpace.default(),
+                               McConfig(samples=70_000, seed=25))
+        direct = np.random.default_rng(25).geometric(p_round, size=70_000)
+        assert result.t_tot_us.mean == t_rep * direct.mean()
