@@ -9,7 +9,6 @@ the memory decoherence law.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,46 +19,53 @@ from .params import PhysicalConstants, PlatformParams
 _EXP_CLIP = 700.0
 
 
-def transmission(z_km: float, alpha_db_per_km: float) -> float:
-    """Fiber power transmission 10**(-alpha*z/10) over z km."""
-    if z_km < 0:
+def transmission(z_km, alpha_db_per_km: float):
+    """Fiber power transmission 10**(-alpha*z/10) over z km (scalar or array)."""
+    if np.any(np.asarray(z_km) < 0):
         raise ValueError("fiber length must be non-negative")
     if alpha_db_per_km < 0:
         raise ValueError("attenuation must be non-negative")
     return 10.0 ** (-alpha_db_per_km * z_km / 10.0)
 
 
-def p_single(chi: float, eta_det: float, eta_t_half: float) -> float:
+def _check_probability(value, name: str) -> None:
+    arr = np.asarray(value)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValueError(f"{name} must lie in [0, 1]")
+
+
+def p_single(chi: float, eta_det: float, eta_t_half):
     """Success probability of one heralded pair attempt in a single mode.
 
     Both photons (one per memory) must be generated, survive half the link,
     and fire the midway detector: (chi * eta_det * eta_t_half)**2.
+    ``eta_t_half`` may be an array.
     """
     for name, value in (("chi", chi), ("eta_det", eta_det),
                         ("eta_t_half", eta_t_half)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1]")
+        _check_probability(value, name)
     return (chi * eta_det * eta_t_half) ** 2
 
 
-def p_eng(p1: float, modes: int, multiplexed: bool) -> float:
+def p_eng(p1, modes: int, multiplexed: bool):
     """Probability that at least one mode pairing heralds the link.
 
     Parallel operation pairs mode i with mode i, giving ``modes`` chances;
     multiplexed operation accepts any pairing, giving ``modes**2``.
     Evaluated as -expm1(n * log1p(-p1)) so it survives p1 ~ 1e-8 with
-    n ~ 3e7 without loss of precision.
+    n ~ 3e7 without loss of precision.  ``p1`` may be an array.
     """
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError("p1 must lie in [0, 1]")
+    _check_probability(p1, "p1")
     if modes < 1:
         raise ValueError("modes must be >= 1")
     n = modes * modes if multiplexed else modes
-    if n == 1 or p1 == 0.0:
+    if n == 1:
         return p1
-    if p1 == 1.0:
-        return 1.0
-    return -math.expm1(n * math.log1p(-p1))
+    # p1 = 1 gives log1p(-1) = -inf and hence exactly 1; starting from 0.0
+    # keeps p1 = 0 at +0.0 instead of -expm1(-0.0) = -0.0
+    with np.errstate(divide="ignore"):
+        p_g = 0.0 - np.expm1(n * np.log1p(-np.asarray(p1, dtype=float)))
+    return float(p_g) if p_g.ndim == 0 else p_g
 
 
 def visibility_at(t_us, tau_us, chi_eff: float, decoherence: str = "gaussian"):
@@ -89,7 +95,10 @@ def visibility_at(t_us, tau_us, chi_eff: float, decoherence: str = "gaussian"):
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Derived quantities of one elementary link at distance l0_km."""
+    """Derived quantities of one elementary link at distance l0_km.
+
+    Every field is an array of the same shape when l0_km is an array.
+    """
 
     l0_km: float
     eta_t_half: float   # transmission over l0/2
@@ -97,9 +106,9 @@ class LinkBudget:
     p_g: float          # success probability over all mode pairings
 
 
-def link_budget(platform: PlatformParams, l0_km: float,
+def link_budget(platform: PlatformParams, l0_km,
                 constants: PhysicalConstants) -> LinkBudget:
-    """Evaluate the elementary-link budget for one platform."""
+    """Evaluate the elementary-link budget for one platform (scalar or array l0)."""
     eta_t_half = transmission(l0_km / 2.0, constants.alpha)
     p1 = p_single(platform.chi, platform.eta_m, eta_t_half)
     p_g = p_eng(p1, platform.modes, platform.multiplexed)

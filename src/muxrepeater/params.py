@@ -102,7 +102,7 @@ class ModeSpaceParams:
     k_max: float = 1000.0       # 1/mm
     beta: float = 3.5e-3        # mode density, mm^2
     temperature: float = 1e-6   # K
-    grid_points: int = 4096     # quadrature grid resolution
+    grid_points: int = 64       # Gauss-Legendre order of spectral averages
     gamma_policy: str = "rounded"
 
     def __post_init__(self) -> None:

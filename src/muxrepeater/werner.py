@@ -9,14 +9,18 @@ entropy of (1 + sqrt(1 - C^2))/2.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from . import link
-from .modes import ModeSpace, tau_of_k, weighted_average
+from .modes import ModeSpace, _band_average, tau_of_k
 
 _LN2 = math.log(2.0)
+# (storage time, node) pairs per quadrature block; keeps the integrand's
+# temporaries at a few 32 KB arrays however many storage times come in
+_QUAD_BLOCK = 4096
 
 
 def _check_unit_interval(v, name: str) -> np.ndarray:
@@ -62,15 +66,40 @@ def ef_of_mode(k_inv_mm, t_us: float, chi_eff: float, space: ModeSpace):
     return entanglement_of_formation(v)
 
 
+def _average_ef(space: ModeSpace, t_us, chi_eff: float) -> np.ndarray:
+    """Array form of :func:`average_ef`: one spectral average per storage time.
+
+    A mode holds entanglement only while chi_eff*exp((t*K/gamma)**2) < 1,
+    i.e. below K_c(t) = gamma*sqrt(ln(1/chi_eff))/t.  The integrand has a
+    kink at K_c and vanishes past it, so the quadrature interval ends at
+    min(K_max, K_c(t)) and the rule never straddles the kink.
+    """
+    t = np.asarray(t_us, dtype=float)
+    k_cut = space.gamma * math.sqrt(max(0.0, -math.log(chi_eff)))
+    # at t = 0 the whole band is live, whatever K_c
+    k_hi = np.minimum(space.k_max, np.divide(
+        k_cut, t, out=np.full(t.shape, np.inf), where=t > 0.0))
+
+    def integrand(t_rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+        v = link.visibility_at(t_rows, space.gamma / k, chi_eff, "gaussian")
+        return entanglement_of_formation(v)
+
+    out = np.empty(t.shape)
+    t_flat, hi_flat, out_flat = t.reshape(-1), k_hi.reshape(-1), out.reshape(-1)
+    rows = max(1, _QUAD_BLOCK // space.grid_points)
+    for start in range(0, t_flat.size, rows):
+        block = slice(start, start + rows)
+        out_flat[block] = _band_average(
+            space, functools.partial(integrand, t_flat[block, None]),
+            hi_flat[block])
+    return out
+
+
 def average_ef(space: ModeSpace, t_us: float, chi_eff: float) -> float:
     """Density-weighted spectral average of the ebit content at time t.
 
     The delivered state carries a single link's visibility.  Modes past
-    their entanglement cutoff contribute zero and stay in the average.
+    their entanglement cutoff contribute zero and stay in the average; the
+    Gauss-Legendre rule of order ``space.grid_points`` runs up to that cutoff.
     """
-    def integrand(k: np.ndarray) -> np.ndarray:
-        tau = space.gamma / k
-        v = link.visibility_at(t_us, tau, chi_eff, "gaussian")
-        return entanglement_of_formation(v)
-
-    return weighted_average(space, integrand)
+    return float(_average_ef(space, t_us, chi_eff))

@@ -1,11 +1,13 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from muxrepeater.chain import (
     _expected_max_asymptotic,
+    _expected_max_rounds,
     _expected_max_series,
     chain_time,
     expected_max_rounds,
@@ -34,6 +36,23 @@ T_TOT_5_550_US = 3700714.3280030696
 # inclusion-exclusion closed forms for the expected slowest-link round
 EMAX_2_LINKS_P03 = 80.0 / 17.0
 EMAX_3_LINKS_P02 = 8.715846994535519
+
+
+def expected_max_oracle(m: int, p: float) -> float:
+    """Tail sum of P(max > j) over j >= 0 in plain floats, summed by fsum.
+
+    Stops once the geometric bound m*(1-p)^(j+1)/p on the remaining tail
+    falls below 1e-16; the sum itself is at least 1.
+    """
+    log_q = math.log1p(-p)
+    terms = [1.0]
+    j = 1
+    while True:
+        qj = math.exp(j * log_q)
+        terms.append(-math.expm1(m * math.log1p(-qj)))
+        if m * qj < 1e-16 * p:
+            return math.fsum(terms)
+        j += 1
 
 
 def bundle_and_space():
@@ -131,11 +150,22 @@ class TestWaitingFactor:
                        space, waiting_count="link")
 
     def test_branch_crossover_consistency(self):
-        for m in (2, 5, 49, 199):
-            for p in (2e-3, 1e-3, 5e-4):
-                series = _expected_max_series(m, p, 1e-13)
-                asym = _expected_max_asymptotic(m, p)
-                assert asym == pytest.approx(series, rel=1e-9)
+        m, p = (a.ravel() for a in np.meshgrid([2, 5, 49, 199],
+                                               [2e-3, 1e-3, 5e-4]))
+        series = _expected_max_series(m, p, 1e-13)
+        asym = _expected_max_asymptotic(m, p)
+        assert asym == pytest.approx(series, rel=1e-9)
+
+    @given(st.lists(st.tuples(st.integers(1, 400),
+                              st.floats(1e-3, 1.0, exclude_max=True)),
+                    min_size=1, max_size=6))
+    @example([(400, 1e-3), (2, 1e-3), (1, 0.5), (399, 0.999)])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_vector_series_matches_plain_summation(self, pairs):
+        m, p = (np.array(column) for column in zip(*pairs))
+        got = _expected_max_rounds(m, p)
+        for value, (mi, pi) in zip(got, pairs):
+            assert value == pytest.approx(expected_max_oracle(mi, pi), rel=1e-12)
 
     @given(st.integers(1, 59), st.floats(0.01, 1.0))
     @settings(max_examples=60, deadline=None)

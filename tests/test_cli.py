@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from muxrepeater.chain import expected_max_rounds
 from muxrepeater.cli import run
@@ -163,3 +169,16 @@ class TestDeterminism:
         default_out = capsys.readouterr().out
         assert run(["pg-curve", "--grid", "10:100:5", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out == default_out
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["muxrepeater", "muxrepeater.cli"])
+    def test_python_dash_m_runs_presets(self, module):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", module, "presets"],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("name,M,chi,")
+        assert "WV-MUX-QM" in proc.stdout

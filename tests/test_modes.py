@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from muxrepeater.link import visibility_at
 from muxrepeater.modes import (
     ModeSpace,
     gamma_from_temperature,
@@ -15,7 +14,6 @@ from muxrepeater.modes import (
     weighted_average,
 )
 from muxrepeater.params import ModeSpaceParams, PhysicalConstants
-from muxrepeater.werner import entanglement_of_formation
 
 RB87_MASS = 1.44316e-25
 # sqrt(m / (k_B T)) at 1 uK, unit-converted, 30-digit evaluation
@@ -102,22 +100,16 @@ class TestWeightedAverage:
         assert weighted_average(space, lambda k: k) == \
             pytest.approx(WAVG_K_CLOSED, rel=1e-7)
 
-    def _ef_integrand(self, space):
-        def f(k):
-            v = visibility_at(750.0, space.gamma / k, 0.05)
-            return entanglement_of_formation(v)
-        return f
-
-    def test_quadrature_convergence_on_ebit_integrand(self):
+    def test_gauss_legendre_exact_on_polynomials(self):
+        # the 64-node rule integrates K * K**d exactly for d <= 126; the
+        # band-weighted mean of K**d is 2 (b^(d+2) - a^(d+2)) / ((d+2)(b^2 - a^2))
         space = ModeSpace.default()
-        fine = dataclasses.replace(space, grid_points=2 * space.grid_points)
-        coarse_val = weighted_average(space, self._ef_integrand(space))
-        fine_val = weighted_average(fine, self._ef_integrand(fine))
-        assert abs(fine_val - coarse_val) / abs(fine_val) < 1e-6
-
-    def test_identity_converges_under_refinement(self):
-        space = ModeSpace.default()
-        fine = dataclasses.replace(space, grid_points=4 * space.grid_points)
-        err_coarse = abs(weighted_average(space, lambda k: k) - WAVG_K_CLOSED)
-        err_fine = abs(weighted_average(fine, lambda k: k) - WAVG_K_CLOSED)
-        assert err_fine < err_coarse
+        assert weighted_average(space, lambda k: k) == \
+            pytest.approx(WAVG_K_CLOSED, rel=1e-13)
+        a, b = space.k_min / space.k_max, 1.0
+        unit = dataclasses.replace(space, k_min=a, k_max=b)
+        for d in (0, 1, 2, 7, 40, 125):
+            closed = 2.0 * (b ** (d + 2) - a ** (d + 2)) / (
+                (d + 2) * (b * b - a * a))
+            assert weighted_average(unit, lambda k, d=d: k ** d) == \
+                pytest.approx(closed, rel=1e-13)

@@ -1,10 +1,15 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from muxrepeater.chain import chain_time
 from muxrepeater.modes import ModeSpace
 from muxrepeater.params import default_bundle
+
+BUNDLE = default_bundle()
 from muxrepeater.sweep import optimize_nodes, sweep
 
 
@@ -65,6 +70,47 @@ class TestOptimizeNodes:
                                       n_range=range(2, 10))
         assert n_star == 2
         assert best.q_ebit_per_s_per_node == 0.0
+
+    @given(st.sampled_from([p.name for p in BUNDLE.platforms]),
+           st.sampled_from(["ahierarchical", "semihierarchical"]),
+           st.sampled_from(["links", "nodes"]),
+           st.floats(50.0, 2500.0), st.integers(2, 12), st.integers(0, 120))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_array_pass_matches_scalar_loop(self, name, arch, count, l_km,
+                                            n_lo, span):
+        space = ModeSpace.default()
+        platform = BUNDLE.platform(name)
+        n_range = range(n_lo, n_lo + span + 1)
+        best = None
+        for n in n_range:  # the first maximum wins
+            rec = chain_time(arch, platform, n, l_km, BUNDLE.constants, space,
+                             waiting_count=count)
+            if best is None or rec.q_ebit_per_s_per_node > best.q_ebit_per_s_per_node:
+                best = rec
+        n_star, record = optimize_nodes(l_km, platform, arch, BUNDLE.constants,
+                                        space, n_range=n_range,
+                                        waiting_count=count)
+        assert n_star == best.n_nodes
+        assert record == best
+
+    @pytest.mark.parametrize("name, arch, zero_rate", [
+        ("Temporal", "ahierarchical", False),
+        ("Temporal", "semihierarchical", True),
+        ("WV-MUX-QM", "ahierarchical", False),
+        ("WV-MUX-QM", "semihierarchical", False)])
+    def test_long_chains_at_numpy_distance_raise_no_warning(self, name, arch,
+                                                            zero_rate):
+        # N up to 400 at 2000 km underflows P_ENC; T_tot = inf is by design
+        space = ModeSpace.default()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n_star, record = optimize_nodes(
+                np.float64(2000.0), BUNDLE.platform(name), arch,
+                BUNDLE.constants, space, n_range=range(2, 401))
+        assert record.n_nodes == n_star
+        assert (record.q_ebit_per_s_per_node == 0.0) == zero_rate
+        if zero_rate:
+            assert n_star == 2
 
     def test_rejects_bad_range(self):
         bundle, space = bundle_and_space()

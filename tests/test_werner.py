@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -139,3 +140,12 @@ class TestAverageEbitContent:
         space = ModeSpace.default()
         assert average_ef(space, 750.0, 0.05) == \
             pytest.approx(AVG_EF_T750, rel=1e-6)
+
+    def test_converges_to_high_order_cutoff_reference(self):
+        # 64 nodes up to the entanglement cutoff against 1024 nodes; a rule
+        # that straddled the cutoff kink missed by 6.2e-6 at 3000 us
+        space = ModeSpace.default()
+        reference = dataclasses.replace(space, grid_points=1024)
+        for t_us in (750.0, 3000.0, 6000.0):
+            assert average_ef(space, t_us, 0.05) == \
+                pytest.approx(average_ef(reference, t_us, 0.05), rel=1e-9)
