@@ -34,7 +34,6 @@ from .modes import (
     mode_measure,
     round_to_one_digit,
     tau_of_k,
-    weighted_average,
 )
 from .montecarlo import (
     ChainMcResult,
@@ -111,5 +110,4 @@ __all__ = [
     "tau_of_k",
     "transmission",
     "visibility_at",
-    "weighted_average",
 ]

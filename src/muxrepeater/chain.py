@@ -26,6 +26,11 @@ WAITING_COUNTS = ("links", "nodes")
 # crossover below which the waiting-time series is evaluated by its
 # Euler-Maclaurin limit instead of direct summation
 _SERIES_MIN_P = 1e-3
+# relative truncation tolerance of the series; stopping at the 1e-12 the sums
+# are tested to would leave them ~1e-12 short
+_SERIES_EPS = 1e-13
+# every row sums j in blocks 64, 128, ... up to this many terms wide, and a
+# temporary holds at most this many (row, j) terms
 _SERIES_BLOCK = 4096
 
 
@@ -69,24 +74,25 @@ def p_enc_chain(p_f: float, p_e: float, eta_x: float, n_nodes):
     return p_f ** first * p_e ** later * eta_x ** n_nodes
 
 
-def _expected_max_series(m: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
+def _expected_max_series(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     # E[max] = sum_{j>=0} (1 - F(j)^m) with F(j) = 1 - (1-p)^j.  Each term
     # is bounded by m*(1-p)^j, so the tail past J is below m*(1-p)^(J+1)/p;
-    # that geometric bound drives the truncation, row by row.  A block spans
-    # about _SERIES_BLOCK (row, j) terms over the rows still summing, so a
-    # single row sums j in blocks of exactly _SERIES_BLOCK.
+    # that geometric bound drives the truncation, row by row.  Each row sums
+    # the same j blocks whatever rows share the call, so batches do not matter.
     log_q = np.log1p(-p)
     total = np.ones_like(p)  # j = 0 term
     live = np.arange(p.size)
-    j = 1
+    j, width = 1, 64
     while live.size:
-        width = max(1, _SERIES_BLOCK // live.size)
         js = np.arange(j, j + width, dtype=float)
-        qj = np.exp(log_q[live, None] * js)
-        total[live] += np.sum(-np.expm1(m[live, None] * np.log1p(-qj)), axis=1)
+        for rows in np.array_split(live, -(-live.size * width // _SERIES_BLOCK)):
+            qj = np.exp(log_q[rows, None] * js)
+            total[rows] += np.sum(-np.expm1(m[rows, None] * np.log1p(-qj)), axis=1)
         j += width
+        q_last = np.exp(log_q[live] * js[-1])
         pl = p[live]
-        live = live[m[live] * qj[:, -1] * (1.0 - pl) >= eps * pl * total[live]]
+        live = live[m[live] * q_last * (1.0 - pl) >= _SERIES_EPS * pl * total[live]]
+        width = min(2 * width, _SERIES_BLOCK)
     return total
 
 
@@ -98,8 +104,7 @@ def _expected_max_asymptotic(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     return harmonic[m - 1] / -np.log1p(-p) + 0.5
 
 
-def _expected_max_rounds(m: np.ndarray, p: np.ndarray,
-                         eps: float = 1e-12) -> np.ndarray:
+def _expected_max_rounds(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Array form of :func:`expected_max_rounds` for valid (m, p) pairs."""
     out = np.empty(p.shape)
     sure = p == 1.0
@@ -110,25 +115,25 @@ def _expected_max_rounds(m: np.ndarray, p: np.ndarray,
     out[single] = 1.0 / p[single]
     if asymptotic.any():  # np.max of an empty m would raise
         out[asymptotic] = _expected_max_asymptotic(m[asymptotic], p[asymptotic])
-    out[series] = _expected_max_series(m[series], p[series], eps)
+    out[series] = _expected_max_series(m[series], p[series])
     return out
 
 
-def expected_max_rounds(m: int, p: float, eps: float = 1e-12) -> float:
+def expected_max_rounds(m: int, p: float) -> float:
     """Expected maximum of m independent geometric(p) round counts.
 
     This is the mean number of clock periods until the slowest of m links
     heralds.  Exact for p = 1 and m = 1; otherwise the tail-sum series is
-    truncated at relative tolerance ``eps``, switching to its asymptotic
-    limit where direct summation would need more than ~1e4/p terms.  The
-    exact treatment of this waiting factor is in Bernardes, Praxmeyer & van
-    Loock, PRA 83, 012323 (2011).
+    truncated once its tail bound falls below 1e-13 of the sum, switching to
+    its asymptotic limit for p < 1e-3, where direct summation would need
+    some 30/p to 40/p terms.  The exact treatment of this waiting factor is
+    in Bernardes, Praxmeyer & van Loock, PRA 83, 012323 (2011).
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return float(_expected_max_rounds(np.array([m]), np.array([p]), eps)[0])
+    return float(_expected_max_rounds(np.array([m]), np.array([p]))[0])
 
 
 def mean_entanglement(platform: PlatformParams, space: ModeSpace, t_us,
@@ -203,9 +208,10 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
                  waiting_count: str = "links") -> ChainPlan:
     """Chain time budget for every node count in the integer array ``n``.
 
-    One numpy pass over N; see :func:`chain_time` for the model.  Products
-    of probabilities may underflow to 0 at long chains; the resulting
-    divisions by 0 (or by subnormals) give T_tot = inf, R = 0 and
+    One numpy pass over N; see :func:`chain_time` for the model.  Entry i
+    equals the :func:`chain_time` record at n[i] whatever else ``n`` holds.
+    Products of probabilities may underflow to 0 at long chains; the
+    resulting divisions by 0 (or by subnormals) give T_tot = inf, R = 0 and
     T_per_ebit = inf by design, so those warnings are silenced here.
     """
     if architecture not in ARCHITECTURES:
@@ -268,8 +274,13 @@ def chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
     """
     block = _chain_block(architecture, platform, np.array([n_nodes]), l_km,
                          constants, space, noise, waiting_count)
+    return _row(block, 0)
+
+
+def _row(block: ChainPlan, i: int) -> ChainPlan:
+    """Entry ``i`` of a :func:`_chain_block` record, as plain numbers."""
     return ChainPlan(**{
-        name: value[0].item() if isinstance(value, np.ndarray) else value
+        name: value[i].item() if isinstance(value, np.ndarray) else value
         for name, value in vars(block).items()})
 
 

@@ -22,7 +22,7 @@ from . import chain, montecarlo, serialize
 from .link import link_budget
 from .modes import ModeSpace
 from .params import ConfigError, ParameterBundle, load_config
-from .sweep import optimize_nodes, sweep as sweep_grid
+from .sweep import sweep as sweep_grid
 from .werner import average_ef, ef_of_mode
 
 # (column, ChainPlan field): the one source of record header and row order
@@ -51,6 +51,8 @@ def _parse_grid(text: str) -> list[float]:
         points = int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid value: {exc}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError("grid bounds must be finite")
     scale = parts[3] if len(parts) == 4 else "linear"
     if scale not in ("linear", "log"):
         raise argparse.ArgumentTypeError("grid scale must be linear or log")
@@ -63,6 +65,13 @@ def _parse_grid(text: str) -> list[float]:
             raise argparse.ArgumentTypeError("log grid needs start > 0")
         return [float(x) for x in np.geomspace(start, stop, points)]
     return [float(x) for x in np.linspace(start, stop, points)]
+
+
+def _parse_l_grid(text: str) -> list[float]:
+    grid = _parse_grid(text)
+    if grid[0] <= 0:
+        raise argparse.ArgumentTypeError("total distances need grid start > 0")
+    return grid
 
 
 def _parse_name_list(text: str) -> list[str]:
@@ -224,14 +233,11 @@ def _cmd_rate_curve(args) -> int:
 
 def _cmd_optimize(args) -> int:
     bundle, space = _bundle_and_space(args)
-    platform = bundle.platform(args.platform)
-    rows = []
-    for l_km in args.grid:
-        _, record = optimize_nodes(
-            l_km, platform, args.arch, bundle.constants, space, bundle.noise,
-            range(2, args.n_max + 1), waiting_count=args.waiting_count)
-        rows.append(_record_row(record))
-    _emit(args, _RECORD_HEADER, rows)
+    records = sweep_grid(args.grid, [bundle.platform(args.platform)],
+                         [args.arch], bundle.constants, space, bundle.noise,
+                         range(2, args.n_max + 1),
+                         waiting_count=args.waiting_count)
+    _emit(args, _RECORD_HEADER, [_record_row(r) for r in records])
     return 0
 
 
@@ -332,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "rate-curve", help="optimized per-ebit transfer time versus total distance")
     _add_io_options(sub)
-    sub.add_argument("--grid", type=_parse_grid, default=_parse_grid("100:1000:10"),
+    sub.add_argument("--grid", type=_parse_l_grid, default="100:1000:10",
                      metavar="L_START:STOP:POINTS[:SCALE]")
     sub.add_argument("--platforms", type=_parse_name_list,
                      default=["WV-MUX-QM", "WV-parallel", "Temporal", "Lattice-SM"])
@@ -348,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "optimize", help="optimal node count and full record per total distance")
     _add_io_options(sub)
-    sub.add_argument("--grid", type=_parse_grid, default=_parse_grid("100:1000:10"),
+    sub.add_argument("--grid", type=_parse_l_grid, default="100:1000:10",
                      metavar="L_START:STOP:POINTS[:SCALE]")
     sub.add_argument("--platform", default="WV-MUX-QM")
     sub.add_argument("--arch", choices=chain.ARCHITECTURES,

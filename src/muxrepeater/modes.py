@@ -20,6 +20,9 @@ import numpy as np
 from .params import ModeSpaceParams, PhysicalConstants
 
 _S_PER_M_TO_US_PER_MM = 1e3
+# Gauss-Legendre order of the spectral averages; the averages stop at the
+# entanglement cutoff, below which 64 nodes match 1024 to about 1e-11 relative
+_GL_ORDER = 64
 
 
 def gamma_from_temperature(temperature_k: float, atomic_mass_kg: float,
@@ -54,17 +57,13 @@ def tau_of_k(k_inv_mm, gamma_us_mm: float):
 class ModeSpace:
     """Band [k_min, k_max] with density beta and lifetime constant gamma.
 
-    ``grid_points`` is the Gauss-Legendre order of the spectral averages.
-    The ebit integrand is smooth up to the entanglement cutoff, where its
-    average stops the interval, so 64 nodes agree with a 1024-node rule to
-    about 1e-11 relative.
+    Spectral averages over the band use a fixed 64-node Gauss-Legendre rule.
     """
 
     k_min: float
     k_max: float
     beta: float
     gamma: float          # us/mm
-    grid_points: int = 64
 
     @classmethod
     def from_params(cls, params: ModeSpaceParams,
@@ -81,7 +80,7 @@ class ModeSpace:
         if params.gamma_policy == "rounded":
             gamma = round_to_one_digit(gamma)
         return cls(k_min=params.k_min, k_max=params.k_max, beta=params.beta,
-                   gamma=gamma, grid_points=params.grid_points)
+                   gamma=gamma)
 
     @classmethod
     def default(cls) -> "ModeSpace":
@@ -131,24 +130,14 @@ def _band_average(space: ModeSpace, f: Callable[[np.ndarray], np.ndarray],
     """Density-weighted average of f over [k_min, k_hi], normalized to the band.
 
     Computes integral(f(K) * K dK, k_min, k_hi) / integral(K dK, k_min, k_max)
-    by Gauss-Legendre quadrature of order ``space.grid_points``.  ``k_hi`` may
+    by Gauss-Legendre quadrature of order ``_GL_ORDER``.  ``k_hi`` may
     be an array with one upper limit per entry; f then receives one row of K
     values per entry.  An upper limit at or below k_min gives zero.
     """
-    x, w = _gauss_legendre(space.grid_points)
+    x, w = _gauss_legendre(_GL_ORDER)
     half = np.maximum(np.asarray(k_hi, dtype=float) - space.k_min, 0.0) / 2.0
     k = space.k_min + half[..., None] * (1.0 + x)
     values = np.asarray(f(k), dtype=float)
     integral = half * np.sum(w * values * k, axis=-1)
     return integral / ((space.k_max ** 2 - space.k_min ** 2) / 2.0)
 
-
-def weighted_average(space: ModeSpace, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Density-weighted spectral average of f over the wavevector band.
-
-    Computes integral(f(K) * 2*pi*K*beta dK) / integral(2*pi*K*beta dK) with
-    ``space.grid_points``-order Gauss-Legendre quadrature, exact for
-    polynomial f up to degree 2*grid_points - 2.  ``f`` must accept a numpy
-    array of K values.
-    """
-    return float(_band_average(space, f, space.k_max))

@@ -102,7 +102,6 @@ class ModeSpaceParams:
     k_max: float = 1000.0       # 1/mm
     beta: float = 3.5e-3        # mode density, mm^2
     temperature: float = 1e-6   # K
-    grid_points: int = 64       # Gauss-Legendre order of spectral averages
     gamma_policy: str = "rounded"
 
     def __post_init__(self) -> None:
@@ -110,8 +109,6 @@ class ModeSpaceParams:
         _require(self.k_min < self.k_max, "K_max", "must exceed K_min")
         _require(self.beta > 0, "beta", "must be strictly positive")
         _require(self.temperature > 0, "temperature", "must be strictly positive")
-        _require(isinstance(self.grid_points, int) and self.grid_points >= 2,
-                 "grid_points", "must be an integer >= 2")
         _require(self.gamma_policy in GAMMA_POLICIES, "gamma_policy",
                  f"must be one of {GAMMA_POLICIES}")
 
@@ -218,7 +215,6 @@ _MODE_SPACE_KEYS = {
     "K_max": "k_max",
     "beta": "beta",
     "temperature": "temperature",
-    "grid_points": "grid_points",
     "gamma_policy": "gamma_policy",
 }
 _NOISE_KEYS = {"B": "B"}
@@ -250,7 +246,7 @@ def _build_section(cls, data: dict, key_map: dict[str, str], section: str):
             _require(isinstance(value, bool), key, f"expected a boolean, got {value!r}")
         elif key in ("name", "enc_detection", "decoherence", "gamma_policy"):
             _require(isinstance(value, str), key, f"expected a string, got {value!r}")
-        elif key in ("M", "grid_points"):
+        elif key == "M":
             _require(isinstance(value, int) and not isinstance(value, bool), key,
                      f"expected an integer, got {value!r}")
         elif key == "tau_ms" and value is None:

@@ -2,8 +2,8 @@
 
 The figure of merit is Q(N, L) = R(N, L)/N, the delivered ebit rate per
 employed repeater node; N*(L) is its exhaustive integer argmax over the
-records that :func:`muxrepeater.chain.chain_time` returns, evaluated for
-the whole node-count range at once.
+node-count range, evaluated in one array pass per grid point whose entries
+equal the :func:`muxrepeater.chain.chain_time` records at each N.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chain import ChainPlan, _chain_block, chain_time
+from .chain import ChainPlan, _chain_block, _row
 from .modes import ModeSpace
 from .params import NoiseParams, PhysicalConstants, PlatformParams
 
@@ -28,7 +28,7 @@ def optimize_nodes(l_km: float, platform: PlatformParams, architecture: str,
     chain makes Q(N) non-smooth.  The whole range is evaluated in one array
     pass; the first maximum in ``n_range`` order wins, so ties break toward
     the smaller node count of an ascending range.  The returned record is
-    the :func:`chain_time` record at N*.
+    the row the argmax picked, equal to the :func:`chain_time` record at N*.
     """
     n_values = np.array(list(n_range), dtype=np.int64)
     if n_values.size == 0:
@@ -37,9 +37,8 @@ def optimize_nodes(l_km: float, platform: PlatformParams, architecture: str,
         raise ValueError("node counts below 2 are not valid chains")
     block = _chain_block(architecture, platform, n_values, l_km, constants,
                          space, noise, **chain_kwargs)
-    n_star = int(n_values[np.argmax(block.q_ebit_per_s_per_node)])
-    return n_star, chain_time(architecture, platform, n_star, l_km, constants,
-                              space, noise, **chain_kwargs)
+    best = _row(block, int(np.argmax(block.q_ebit_per_s_per_node)))
+    return best.n_nodes, best
 
 
 def sweep(l_grid_km: Iterable[float], platforms: Sequence[PlatformParams],

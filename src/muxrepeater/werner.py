@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import link
-from .modes import ModeSpace, _band_average, tau_of_k
+from .modes import _GL_ORDER, ModeSpace, _band_average, tau_of_k
 
 _LN2 = math.log(2.0)
 # (storage time, node) pairs per quadrature block; keeps the integrand's
@@ -86,7 +86,7 @@ def _average_ef(space: ModeSpace, t_us, chi_eff: float) -> np.ndarray:
 
     out = np.empty(t.shape)
     t_flat, hi_flat, out_flat = t.reshape(-1), k_hi.reshape(-1), out.reshape(-1)
-    rows = max(1, _QUAD_BLOCK // space.grid_points)
+    rows = _QUAD_BLOCK // _GL_ORDER
     for start in range(0, t_flat.size, rows):
         block = slice(start, start + rows)
         out_flat[block] = _band_average(
@@ -100,6 +100,6 @@ def average_ef(space: ModeSpace, t_us: float, chi_eff: float) -> float:
 
     The delivered state carries a single link's visibility.  Modes past
     their entanglement cutoff contribute zero and stay in the average; the
-    Gauss-Legendre rule of order ``space.grid_points`` runs up to that cutoff.
+    64-node Gauss-Legendre rule runs up to that cutoff.
     """
     return float(_average_ef(space, t_us, chi_eff))

@@ -43,7 +43,11 @@ class TestCommands:
         capsys.readouterr()
 
     def test_bad_grid_exits_2(self, capsys):
-        assert run(["pg-curve", "--grid", "100:10:5"]) == 2
+        for argv in (["pg-curve", "--grid", "100:10:5"],
+                     ["rate-curve", "--grid", "0:1000:3"],
+                     ["optimize", "--grid", "0:500:2"],
+                     ["rate-curve", "--grid", "100:inf:3"]):
+            assert run(argv) == 2, argv
         capsys.readouterr()
 
     def test_bad_architecture_exits_2(self, capsys):
@@ -61,9 +65,11 @@ class TestCommands:
 
     def test_removed_chi_eff_policy_key_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "old.json"
-        cfg.write_text(json.dumps({"noise": {"chi_eff_policy": "frozen_t0"}}))
-        assert run(["presets", "--config", str(cfg)]) == 3
-        assert "chi_eff_policy" in capsys.readouterr().err
+        for section, key, value in (("noise", "chi_eff_policy", "frozen_t0"),
+                                    ("mode_space", "grid_points", 64)):
+            cfg.write_text(json.dumps({section: {key: value}}))
+            assert run(["presets", "--config", str(cfg)]) == 3
+            assert key in capsys.readouterr().err
 
     def test_unknown_platform_exits_3(self, capsys):
         assert run(["optimize", "--platform", "nonesuch",

@@ -6,12 +6,12 @@ import pytest
 
 from muxrepeater.modes import (
     ModeSpace,
+    _band_average,
     gamma_from_temperature,
     mode_count,
     mode_measure,
     round_to_one_digit,
     tau_of_k,
-    weighted_average,
 )
 from muxrepeater.params import ModeSpaceParams, PhysicalConstants
 
@@ -92,24 +92,25 @@ class TestWeightedAverage:
     def test_constant_is_exact(self):
         space = ModeSpace.default()
         for c in (1.0, math.pi, 1e-7):
-            assert weighted_average(space, lambda k: np.full_like(k, c)) == \
+            assert _band_average(space, lambda k: np.full_like(k, c),
+                                 space.k_max) == \
                 pytest.approx(c, rel=1e-12)
 
     def test_identity_matches_closed_form(self):
         space = ModeSpace.default()
-        assert weighted_average(space, lambda k: k) == \
+        assert _band_average(space, lambda k: k, space.k_max) == \
             pytest.approx(WAVG_K_CLOSED, rel=1e-7)
 
     def test_gauss_legendre_exact_on_polynomials(self):
         # the 64-node rule integrates K * K**d exactly for d <= 126; the
         # band-weighted mean of K**d is 2 (b^(d+2) - a^(d+2)) / ((d+2)(b^2 - a^2))
         space = ModeSpace.default()
-        assert weighted_average(space, lambda k: k) == \
+        assert _band_average(space, lambda k: k, space.k_max) == \
             pytest.approx(WAVG_K_CLOSED, rel=1e-13)
         a, b = space.k_min / space.k_max, 1.0
         unit = dataclasses.replace(space, k_min=a, k_max=b)
         for d in (0, 1, 2, 7, 40, 125):
             closed = 2.0 * (b ** (d + 2) - a ** (d + 2)) / (
                 (d + 2) * (b * b - a * a))
-            assert weighted_average(unit, lambda k, d=d: k ** d) == \
+            assert _band_average(unit, lambda k, d=d: k ** d, unit.k_max) == \
                 pytest.approx(closed, rel=1e-13)

@@ -168,7 +168,7 @@ class TestConfigIO:
     def test_round_trip_through_file(self, tmp_path):
         bundle = parse_config({
             "constants": {"alpha": 0.17, "c": 0.21},
-            "mode_space": {"K_max": 500.0, "grid_points": 1024},
+            "mode_space": {"K_max": 500.0},
             "noise": {"B": 1e-4},
             "spdc": {"chi": 0.02},
             "platforms": [
