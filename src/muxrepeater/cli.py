@@ -96,8 +96,8 @@ def _parse_float_list(text: str) -> list[float]:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad number list: {exc}") from exc
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("expected positive numbers")
+    if not values or not all(math.isfinite(v) and v > 0 for v in values):
+        raise argparse.ArgumentTypeError("expected positive finite numbers")
     return values
 
 
@@ -106,8 +106,15 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad number: {exc}") from exc
-    if not value > 0:
-        raise argparse.ArgumentTypeError("expected a positive number")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("expected a positive finite number")
+    return value
+
+
+def _open_unit_float(text: str) -> float:
+    value = _positive_float(text)
+    if not value < 1:
+        raise argparse.ArgumentTypeError("expected a number in (0, 1)")
     return value
 
 
@@ -331,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="L0_START:STOP:POINTS[:SCALE]")
     sub.add_argument("--modes", type=_parse_float_list, default=[10.0, 100.0, 1000.0],
                      help="wavevector moduli (1/mm) to trace individually")
-    sub.add_argument("--chi", type=_positive_float, default=0.05,
+    sub.add_argument("--chi", type=_open_unit_float, default=0.05,
                      help="effective excitation probability")
     sub.set_defaults(func=_cmd_ef_curve)
 
@@ -384,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mc-validate", help="analytic versus Monte Carlo comparison table")
     _add_io_options(sub)
     sub.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
-    sub.add_argument("--seed", type=int, default=42,
+    sub.add_argument("--seed", type=_int_at_least(0), default=42,
                      help="base seed; cell i uses seed+i, the chain check seed+1000")
     sub.add_argument("--chain-samples", type=_int_at_least(0), default=100_000,
                      help="trials for the end-to-end chain check (0 skips it)")

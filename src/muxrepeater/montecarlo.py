@@ -2,10 +2,10 @@
 
 Serves as an independent check on the analytic waiting-time and total-time
 formulas.  Draws come from numpy's PCG64 generator seeded through
-``default_rng(seed)``; chunk sizes are either fixed constants or derived
-deterministically from the inputs, and first moments of integer round counts
-accumulate exactly, so a given seed reproduces the same estimates bit for
-bit on every run.
+``default_rng(seed)``, in chunks sized from the inputs alone, and integer
+round counts sum exactly, so a given seed reproduces the same estimates bit
+for bit on every run.  The held-chain sampler draws raw per-racer rounds only
+for a trial's final pass; :func:`_earlier_pass_rounds` draws the earlier ones.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (
+    WAITING_COUNTS,
     _chain_setup,
     expected_max_rounds,
     mean_entanglement,
@@ -25,8 +26,7 @@ from .modes import ModeSpace
 from .params import NoiseParams, PhysicalConstants, PlatformParams
 
 _TRIAL_CHUNK = 1 << 16
-_PHASE_CHUNK = 1 << 15
-_PHASE_BUDGET = 1 << 22
+_PASS_BUDGET = 1 << 22
 _FLAG_FRACTION = 1e-3
 
 
@@ -134,37 +134,44 @@ def _mc_ahierarchical(platform, n_nodes, l_km, constants, space, noise, cfg):
         mean_ef=McEstimate(mean=ef, std_error=0.0, samples_used=cfg.samples))
 
 
-def _ef_for_wait_counts(d: np.ndarray, t_rep: float, overhead: float,
-                        platform, space, noise) -> np.ndarray:
-    """Map integer wait counts to link ebit contents via their unique values."""
-    unique = np.unique(d)
-    table = mean_entanglement(platform, space, unique * t_rep + overhead, noise)
-    return table[np.searchsorted(unique, d)]
+def _earlier_pass_rounds(rng, passes, p: float, racers: int) -> np.ndarray:
+    """Rounds of trial i's ``passes[i]`` failed passes, as an integer array.
+
+    A pass lasts as long as the slowest of its geometric(p) racers.  Only the
+    passes lasting 2+ rounds are drawn: a binomial count per trial, then one
+    uniform each through the exact inverse CDF of the maximum given >= 2.
+    """
+    if p == 1.0:   # no slow pass, and log1p(-p) would be -inf
+        return passes
+    log_all_first = racers * math.log(p)   # p**racers may underflow to 0
+    slow = rng.binomial(passes, -math.expm1(log_all_first))
+    u = rng.uniform(math.exp(log_all_first), 1.0, size=slow.sum())
+    j = np.ceil(np.log(-np.expm1(np.log(u) / racers)) / math.log1p(-p))
+    extra = np.maximum(j.astype(np.int64), 2) - 1
+    ends = np.concatenate(([0], np.cumsum(extra)))[np.cumsum(slow)]
+    return passes + np.diff(ends, prepend=0)
 
 
-def _mc_semihierarchical(platform, n_nodes, l_km, constants, space, noise, cfg):
+def _mc_semihierarchical(platform, n_nodes, l_km, constants, space, noise, cfg,
+                         racers):
     l0_km, t_rep, budget, p_enc, eta_final = _chain_setup(
         platform, n_nodes, l_km, constants)
     q = p_enc * eta_final
     if budget.p_g <= 0.0 or q <= 0.0:
         raise SimulationBudgetError(
             "per-attempt success probability underflowed to zero")
-    if expected_max_rounds(n_nodes - 1, budget.p_g) / q > cfg.max_rounds:
+    if expected_max_rounds(racers, budget.p_g) / q > cfg.max_rounds:
         raise SimulationBudgetError(
             "expected rounds per sample exceed max_rounds")
     rng = np.random.default_rng(cfg.seed)
-    m = n_nodes - 1
     overhead = l_km / constants.c
     # a memory waits l0/c for its own heralding before the hold begins, so
     # first-try storage matches the analytic (L + L0)/c assumption
-    ef_overhead = (l_km + l0_km) / constants.c
-    # trial chunk sized so one chunk's expected pass count stays bounded;
-    # derived from q alone, so chunking (and the draw stream) is reproducible
-    trial_chunk = max(1, min(_TRIAL_CHUNK, int(_PHASE_BUDGET * q)))
-    sum_t = 0.0
-    sum_t_sq = 0.0
-    sum_ef = 0.0
-    sum_ef_sq = 0.0
+    storage0 = (l_km + l0_km) / constants.c
+    # derived from q alone, the trial chunk reproducibly bounds its expected
+    # pass count, and so its slow-pass uniforms
+    trial_chunk = max(1, min(_TRIAL_CHUNK, int(_PASS_BUDGET * q)))
+    sums = np.zeros(4)   # T_tot, T_tot**2, E_F, E_F**2 over trials
     flagged = 0
     remaining = cfg.samples
     while remaining > 0:
@@ -173,50 +180,43 @@ def _mc_semihierarchical(platform, n_nodes, l_km, constants, space, noise, cfg):
         # stage then either succeeds or the whole pass restarts, so the
         # number of passes per trial is geometric in q.
         attempts = rng.geometric(q, size=b)
-        n_phases = int(attempts.sum())
-        last_idx = np.cumsum(attempts) - 1
-        phase_max = np.empty(n_phases, dtype=np.int64)
-        last_draws = np.empty((b, m), dtype=np.int64)
-        start = 0
-        while start < n_phases:
-            stop = min(start + _PHASE_CHUNK, n_phases)
-            draws = rng.geometric(budget.p_g, size=(stop - start, m))
-            phase_max[start:stop] = draws.max(axis=1)
-            sel = (last_idx >= start) & (last_idx < stop)
-            last_draws[sel] = draws[last_idx[sel] - start]
-            start = stop
-        rounds = np.add.reduceat(phase_max, last_idx + 1 - attempts)
+        earlier = _earlier_pass_rounds(rng, attempts - 1, budget.p_g, racers)
+        last = rng.geometric(budget.p_g, size=(b, racers))
+        last_max = last.max(axis=1)
+        rounds = earlier + last_max
         flagged += int(np.count_nonzero(rounds > cfg.max_rounds))
         t_trial = rounds.astype(float) * t_rep + attempts.astype(float) * overhead
-        sum_t += float(np.sum(t_trial))
-        sum_t_sq += float(np.sum(t_trial * t_trial))
-        d = phase_max[last_idx][:, None] - last_draws
-        ef_links = _ef_for_wait_counts(d, t_rep, ef_overhead, platform, space,
-                                       noise)
-        ef_trial = ef_links.mean(axis=1)
-        sum_ef += float(np.sum(ef_trial))
-        sum_ef_sq += float(np.sum(ef_trial * ef_trial))
+        wait, index = np.unique(last_max[:, None] - last, return_inverse=True)
+        ef = mean_entanglement(platform, space, wait * t_rep + storage0, noise)
+        ef_trial = ef[index].reshape(last.shape).mean(axis=1)
+        sums += [np.sum(t_trial), np.sum(t_trial * t_trial), np.sum(ef_trial),
+                 np.sum(ef_trial * ef_trial)]
         remaining -= b
     _check_flagged(flagged, cfg.samples, "held-protocol rounds")
     return ChainMcResult(
-        t_tot_us=_estimate(sum_t, sum_t_sq, cfg.samples),
-        mean_ef=_estimate(sum_ef, sum_ef_sq, cfg.samples))
+        t_tot_us=_estimate(*sums[:2].tolist(), cfg.samples),
+        mean_ef=_estimate(*sums[2:].tolist(), cfg.samples))
 
 
 def mc_chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
                   l_km: float, constants: PhysicalConstants, space: ModeSpace,
-                  cfg: McConfig, noise: NoiseParams | None = None) -> ChainMcResult:
+                  cfg: McConfig, noise: NoiseParams | None = None,
+                  waiting_count: str = "links") -> ChainMcResult:
     """Simulate full distributions and estimate T_tot and the ebit content.
 
     The blind architecture stores for exactly one clock period, so its ebit
     content is deterministic (zero standard error).  The held architecture
-    evaluates each trial's ebit content at the realized per-link storage
-    times of the final, successful pass, averaged over links.
+    races N-1 or N heralders (``waiting_count``, as in ``chain_time``) and
+    takes each trial's ebit content at the racers' realized storage times in
+    the final, successful pass, averaged over racers.
     """
+    if waiting_count not in WAITING_COUNTS:
+        raise ValueError(f"waiting_count must be one of {WAITING_COUNTS}")
     if architecture == "ahierarchical":
         return _mc_ahierarchical(platform, n_nodes, l_km, constants, space,
                                  noise, cfg)
     if architecture == "semihierarchical":
+        racers = n_nodes - 1 if waiting_count == "links" else n_nodes
         return _mc_semihierarchical(platform, n_nodes, l_km, constants, space,
-                                    noise, cfg)
+                                    noise, cfg, racers)
     raise ValueError(f"unknown architecture {architecture!r}")

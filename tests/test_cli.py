@@ -50,6 +50,17 @@ class TestCommands:
             assert run(argv) == 2, argv
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["mc-validate", "--samples", "10", "--chain-samples", "0",
+         "--seed", "-5"],
+        ["ef-curve", "--chi", "2"],
+        ["ef-curve", "--chi", "1"],
+        ["ef-curve", "--modes", "inf"],
+        ["limits", "--k-ref", "inf"]])
+    def test_out_of_range_number_exits_2(self, argv, capsys):
+        assert run(argv) == 2
+        capsys.readouterr()
+
     def test_bad_architecture_exits_2(self, capsys):
         assert run(["rate-curve", "--archs", "hierarchical",
                     "--grid", "100:200:2"]) == 2

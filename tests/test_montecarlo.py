@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +16,13 @@ from muxrepeater.modes import ModeSpace
 from muxrepeater.montecarlo import (
     McConfig,
     SimulationBudgetError,
+    _earlier_pass_rounds,
     mc_chain_time,
     mc_expected_max_rounds,
 )
-from muxrepeater.params import PhysicalConstants, default_bundle
+from muxrepeater.params import PhysicalConstants, default_bundle, load_config
+
+MC_SEEDS = Path(__file__).resolve().parents[1] / "bench" / "mc_seeds.json"
 
 
 def _within(estimate, target, sigmas=3.0):
@@ -120,12 +126,53 @@ class TestChainTime:
 
     def test_fixed_seed_reproducible(self):
         wv = self.bundle.platform("WV-MUX-QM")
+        # held: q = 1.9e-4 gives 792-trial chunks, so 10,000 trials span 13
         cfg = McConfig(samples=10_000, seed=15)
-        a = mc_chain_time("ahierarchical", wv, 5, 550.0,
-                          self.bundle.constants, self.space, cfg)
-        b = mc_chain_time("ahierarchical", wv, 5, 550.0,
-                          self.bundle.constants, self.space, cfg)
-        assert a == b
+        for architecture in ("ahierarchical", "semihierarchical"):
+            a = mc_chain_time(architecture, wv, 5, 550.0,
+                              self.bundle.constants, self.space, cfg)
+            b = mc_chain_time(architecture, wv, 5, 550.0,
+                              self.bundle.constants, self.space, cfg)
+            assert a == b
+
+    @pytest.mark.parametrize("count", ["links", "nodes"])
+    def test_held_waiting_count_matches_analytic(self, count):
+        # p_g = 0.59: the slowest of 3 or 4 racers often needs several
+        # rounds, and the two counts' T_tot differ by about 7 sigma
+        temporal = self.bundle.platform("Temporal")
+        plan = chain_time("semihierarchical", temporal, 4, 150.0,
+                          self.bundle.constants, self.space,
+                          waiting_count=count)
+        assert plan.p_g < 0.6
+        result = mc_chain_time("semihierarchical", temporal, 4, 150.0,
+                               self.bundle.constants, self.space,
+                               McConfig(samples=20_000, seed=17),
+                               waiting_count=count)
+        assert _within(result.t_tot_us, plan.t_tot_us)
+
+    def test_unknown_waiting_count_rejected(self):
+        wv = self.bundle.platform("WV-MUX-QM")
+        with pytest.raises(ValueError, match="waiting_count"):
+            mc_chain_time("semihierarchical", wv, 5, 550.0,
+                          self.bundle.constants, self.space,
+                          McConfig(samples=10), waiting_count="link")
+
+    def test_vetted_bench_seeds_pass_held_check(self):
+        # the benchmark's held-chain check at its mc_check point and seeds
+        vetted = json.loads(MC_SEEDS.read_text())
+        bundle = load_config(None)
+        space = ModeSpace.from_params(bundle.mode_space, bundle.constants)
+        wv = bundle.platform("WV-MUX-QM")
+        plan = chain_time("semihierarchical", wv, 5, 550.0, bundle.constants,
+                          space, bundle.noise)
+        failed = []
+        for base in vetted["seeds"]:
+            cfg = McConfig(samples=vetted["held_samples"], seed=base + 2000)
+            result = mc_chain_time("semihierarchical", wv, 5, 550.0,
+                                   bundle.constants, space, cfg, bundle.noise)
+            if not _within(result.t_tot_us, plan.t_tot_us):
+                failed.append(base)
+        assert failed == []
 
     def test_underflowed_chain_rejected(self):
         lattice = self.bundle.platform("Lattice-SM")
@@ -160,3 +207,50 @@ class TestDrawStream:
                                McConfig(samples=70_000, seed=25))
         direct = np.random.default_rng(25).geometric(p_round, size=70_000)
         assert result.t_tot_us.mean == t_rep * direct.mean()
+
+
+class TestSlowPassDraw:
+    """Earlier passes drawn as slow-pass counts plus inverse-CDF maxima.
+
+    Trial i has i % 5 earlier passes; its drawn round total must match the
+    sum of raw per-racer maxima over the same passes in distribution: in the
+    mean over all trials, and by a two-sample Kolmogorov-Smirnov bound
+    (size about 1e-3) within each pass count.
+    """
+
+    @pytest.mark.parametrize("p, m, seed", [
+        (0.05, 9, 31), (0.5, 3, 32), (1e-3, 2, 33), (0.9, 20, 34),
+        (1e-3, 200, 35)])
+    def test_matches_raw_maxima(self, p, m, seed):
+        n = 4000
+        passes = np.arange(n) % 5
+        drawn = _earlier_pass_rounds(np.random.default_rng(seed), passes, p, m)
+        assert drawn.dtype == np.int64
+        assert np.all(drawn >= passes)
+        maxima = np.random.default_rng(seed + 100).geometric(
+            p, size=(passes.sum(), m)).max(axis=1)
+        raw = np.bincount(np.repeat(np.arange(n), passes), weights=maxima,
+                          minlength=n)
+        diff = drawn - raw
+        assert abs(diff.mean()) <= 3.0 * diff.std(ddof=1) / math.sqrt(n)
+        for k in range(1, 5):
+            x, y = drawn[passes == k], raw[passes == k]
+            grid = np.union1d(x, y)
+            gap = np.abs(np.searchsorted(np.sort(x), grid, side="right")
+                         - np.searchsorted(np.sort(y), grid, side="right"))
+            assert gap.max() / x.size <= 1.95 * math.sqrt(2.0 / x.size)
+
+    def test_all_first_probability_underflow(self):
+        # p**m underflows to 0: every earlier pass is slow
+        assert 1e-3 ** 200 == 0.0
+        drawn = _earlier_pass_rounds(np.random.default_rng(36),
+                                     np.full(1000, 3), 1e-3, 200)
+        assert np.all(drawn >= 3 * 2)
+
+    def test_certain_heralding_draws_nothing(self):
+        rng = np.random.default_rng(37)
+        state = rng.bit_generator.state
+        passes = np.arange(100) % 5
+        drawn = _earlier_pass_rounds(rng, passes, 1.0, 4)
+        assert np.array_equal(drawn, passes)
+        assert rng.bit_generator.state == state
