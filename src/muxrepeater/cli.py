@@ -150,13 +150,20 @@ def _add_io_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+class _OutputError(Exception):
+    """The --output file cannot be written; a usage error."""
+
+
 def _emit(args, header, rows) -> None:
     if args.format == "csv":
         text = serialize.csv_text(header, rows)
     else:
         text = serialize.json_text([dict(zip(header, row)) for row in rows])
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _OutputError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -410,6 +417,9 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

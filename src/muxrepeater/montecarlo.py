@@ -6,6 +6,12 @@ formulas.  Draws come from numpy's PCG64 generator seeded through
 round counts sum exactly, so a given seed reproduces the same estimates bit
 for bit on every run.  The held-chain sampler draws raw per-racer rounds only
 for a trial's final pass; :func:`_earlier_pass_rounds` draws the earlier ones.
+
+The slowest-racer sampler draws, per racer, the raw variate numpy's geometric
+consumes (an exponential below p = 1/3, a uniform from 1/3 up) and maps only
+each trial's largest through numpy's nondecreasing transform, so its maxima
+equal ``geometric(...).max(axis=1)`` bit for bit; ``TestGeometricRowMax``
+pins that coupling on both sides of the branch point.
 """
 
 from __future__ import annotations
@@ -28,6 +34,10 @@ from .params import NoiseParams, PhysicalConstants, PlatformParams
 _TRIAL_CHUNK = 1 << 16
 _PASS_BUDGET = 1 << 22
 _FLAG_FRACTION = 1e-3
+# numpy's random_geometric inverts an exponential below this p, searches above
+_GEOMETRIC_SEARCH_FROM = 1.0 / 3.0
+# numpy's inversion saturates to INT64_MAX from this double up
+_INT64_SATURATION = 9.223372036854776e18
 
 
 class SimulationBudgetError(RuntimeError):
@@ -79,6 +89,44 @@ def _estimate(total: float, total_sq: float, n: int) -> McEstimate:
     return McEstimate(mean=mean, std_error=std_error, samples_used=n)
 
 
+def _geometric_search_sums(p: float) -> np.ndarray:
+    """The partial sums p + p*q + ... of numpy's geometric search loop.
+
+    Built with the loop's own ``prod *= q; sum += prod`` steps, up to 1 or to
+    where adding the next term leaves the sum unchanged.  numpy returns the
+    first k whose sum reaches the uniform; a uniform above the last sum
+    (chance below 1e-15) never ends numpy's loop and maps to one past it here.
+    """
+    q = 1.0 - p
+    total = prod = p
+    sums = [total]
+    while total < 1.0:
+        prod *= q
+        if total + prod == total:
+            break
+        total += prod
+        sums.append(total)
+    return np.array(sums)
+
+
+def _geometric_row_max(rng, p: float, shape: tuple[int, int]) -> np.ndarray:
+    """``rng.geometric(p, size=shape).max(axis=1)``, bit for bit.
+
+    Draws the raw variates numpy's geometric consumes, one per racer and in
+    the same order, so the generator ends in the same state.  numpy maps each
+    through a nondecreasing function, so only the row maxima are mapped.
+    """
+    if p < _GEOMETRIC_SEARCH_FROM:
+        e = rng.standard_exponential(shape).max(axis=1)
+        # at tiny p, z passes INT64_MAX (inf at subnormal p); numpy saturates
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = np.ceil(-e / math.log1p(-p))
+            return np.where(z >= _INT64_SATURATION, np.iinfo(np.int64).max,
+                            z.astype(np.int64))
+    u = rng.random(shape).max(axis=1)
+    return np.searchsorted(_geometric_search_sums(p), u) + 1
+
+
 def _slowest_rounds(p: float, links: int, cfg: McConfig,
                     what: str) -> McEstimate:
     """Mean over trials of the slowest of ``links`` geometric(p) rounds."""
@@ -89,7 +137,7 @@ def _slowest_rounds(p: float, links: int, cfg: McConfig,
     remaining = cfg.samples
     while remaining > 0:
         b = min(_TRIAL_CHUNK, remaining)
-        mx = rng.geometric(p, size=(b, links)).max(axis=1)
+        mx = _geometric_row_max(rng, p, (b, links))
         flagged += int(np.count_nonzero(mx > cfg.max_rounds))
         total += int(mx.sum())
         mxf = mx.astype(float)
@@ -102,8 +150,12 @@ def _slowest_rounds(p: float, links: int, cfg: McConfig,
 def mc_expected_max_rounds(n_links: int, p_g: float, cfg: McConfig) -> McEstimate:
     """Sample mean of the slowest link's heralding round over n_links links.
 
-    Each trial draws one geometric(p_g) round count per link and records the
-    maximum; the estimate checks :func:`muxrepeater.chain.expected_max_rounds`.
+    Each trial draws one raw variate per link, as numpy's ``geometric(p_g)``
+    would, and maps the largest through numpy's nondecreasing transform
+    (switching at p = 1/3, pinned by ``TestGeometricRowMax``), so the maxima
+    equal ``geometric(...).max(axis=1)`` bit for bit.  No round count is
+    sampled from F(j)**n_links, so the estimate independently checks
+    :func:`muxrepeater.chain.expected_max_rounds`.
     """
     if n_links < 1:
         raise ValueError("n_links must be >= 1")

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from muxrepeater.chain import expected_max_rounds
@@ -60,6 +61,12 @@ class TestCommands:
     def test_out_of_range_number_exits_2(self, argv, capsys):
         assert run(argv) == 2
         capsys.readouterr()
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        assert run(["presets", "--output", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+        assert not path.exists()
 
     def test_bad_architecture_exits_2(self, capsys):
         assert run(["rate-curve", "--archs", "hierarchical",
@@ -157,6 +164,21 @@ class TestCommands:
                                                           row["p_g"])
         by_cell = {(row["n_nodes"], row["p_g"]): row for row in rows}
         assert abs(by_cell[2, 0.1]["analytic"] - 280.0 / 19.0) < 1e-13
+
+    @pytest.mark.parametrize("count", ["links", "nodes"])
+    def test_mc_validate_cells_match_direct_draw(self, count, capsys):
+        # cell i draws one raw geometric per racer from default_rng(42 + i)
+        assert run(["mc-validate", "--samples", "70000", "--chain-samples", "0",
+                    "--seed", "42", "--waiting-count", count,
+                    "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 16
+        for cell, row in enumerate(rows):
+            assert row["check"] == "waiting_rounds"
+            racers = row["n_nodes"] - 1 if count == "links" else row["n_nodes"]
+            direct = np.random.default_rng(42 + cell).geometric(
+                row["p_g"], size=(70_000, racers))
+            assert row["mc_mean"] == direct.max(axis=1).mean(), row
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from muxrepeater.montecarlo import (
     McConfig,
     SimulationBudgetError,
     _earlier_pass_rounds,
+    _geometric_row_max,
     mc_chain_time,
     mc_expected_max_rounds,
 )
@@ -62,6 +64,13 @@ class TestExpectedMaxRounds:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             mc_expected_max_rounds(2, 0.0, McConfig(samples=10))
+
+    def test_subnormal_probability_saturates_without_warning(self):
+        # every round count saturates at INT64_MAX, past any max_rounds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationBudgetError):
+                mc_expected_max_rounds(1, 5e-324, McConfig(samples=1000))
 
 
 class TestChainTime:
@@ -207,6 +216,29 @@ class TestDrawStream:
                                McConfig(samples=70_000, seed=25))
         direct = np.random.default_rng(25).geometric(p_round, size=70_000)
         assert result.t_tot_us.mean == t_rep * direct.mean()
+
+
+class TestGeometricRowMax:
+    """Row maxima equal numpy's own geometric draw, element for element.
+
+    This pins the coupling to numpy's geometric algorithm: the raw variate
+    of each branch, its transform, the int64 saturation and the p = 1/3
+    branch point, which the three probabilities around 1/3 bracket by ulps.
+    """
+
+    @pytest.mark.parametrize("m", [1, 2, 49])
+    @pytest.mark.parametrize("p", [
+        5e-324, 1e-300, 1e-12, 1e-3, 0.05, np.nextafter(1 / 3, 0), 1 / 3,
+        np.nextafter(1 / 3, 1), 0.5, 0.9, np.nextafter(1, 0), 1.0])
+    def test_equals_numpy_geometric_max(self, p, m):
+        seed = 41 + m
+        direct_rng = np.random.default_rng(seed)
+        direct = direct_rng.geometric(p, size=(2000, m)).max(axis=1)
+        rng = np.random.default_rng(seed)
+        maxima = _geometric_row_max(rng, float(p), (2000, m))
+        assert maxima.dtype == direct.dtype
+        assert np.array_equal(maxima, direct)
+        assert rng.random() == direct_rng.random()
 
 
 class TestSlowPassDraw:
