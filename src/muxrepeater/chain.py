@@ -23,15 +23,16 @@ from .params import NoiseParams, PhysicalConstants, PlatformParams
 ARCHITECTURES = ("ahierarchical", "semihierarchical")
 WAITING_COUNTS = ("links", "nodes")
 
-# crossover below which the waiting-time series is evaluated by its
-# Euler-Maclaurin limit instead of direct summation
-_SERIES_MIN_P = 1e-3
-# relative truncation tolerance of the series; stopping at the 1e-12 the sums
-# are tested to would leave them ~1e-12 short
-_SERIES_EPS = 1e-13
-# every row sums j in blocks 64, 128, ... up to this many terms wide, and a
-# temporary holds at most this many (row, j) terms
-_SERIES_BLOCK = 4096
+# (-1)**(k+1) * C(m, k) at row m, column k-1: the inclusion-exclusion
+# weights of the exact waiting-factor branch, which past m = 12 loses more
+# than 1e-13 to cancellation
+_SIGNED_BINOMIALS = np.array([[(-1) ** (k + 1) * math.comb(m, k)
+                               for k in range(1, 13)] for m in range(13)])
+# the tail-sum branch stops where its geometric tail bound falls below this
+# fraction of the sum, and starts a new slice of rows each time it has
+# gathered this many terms
+_TAIL_EPS = 1e-16
+_TAIL_TERMS = 4096
 
 
 def p_enc_stage(eta_r: float, eta_det: float) -> tuple[float, float]:
@@ -74,48 +75,40 @@ def p_enc_chain(p_f: float, p_e: float, eta_x: float, n_nodes):
     return p_f ** first * p_e ** later * eta_x ** n_nodes
 
 
-def _expected_max_series(m: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _tail_terms(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     # E[max] = sum_{j>=0} (1 - F(j)^m) with F(j) = 1 - (1-p)^j.  Each term
-    # is bounded by m*(1-p)^j, so the tail past J is below m*(1-p)^(J+1)/p;
-    # that geometric bound drives the truncation, row by row.  Each row sums
-    # the same j blocks whatever rows share the call, so batches do not matter.
-    log_q = np.log1p(-p)
-    total = np.ones_like(p)  # j = 0 term
-    live = np.arange(p.size)
-    j, width = 1, 64
-    while live.size:
-        js = np.arange(j, j + width, dtype=float)
-        for rows in np.array_split(live, -(-live.size * width // _SERIES_BLOCK)):
-            qj = np.exp(log_q[rows, None] * js)
-            total[rows] += np.sum(-np.expm1(m[rows, None] * np.log1p(-qj)), axis=1)
-        j += width
-        q_last = np.exp(log_q[live] * js[-1])
-        pl = p[live]
-        live = live[m[live] * q_last * (1.0 - pl) >= _SERIES_EPS * pl * total[live]]
-        width = min(2 * width, _SERIES_BLOCK)
-    return total
-
-
-def _expected_max_asymptotic(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # Euler-Maclaurin sum of the same series: H_m/lambda + 1/2 with
-    # lambda = -log(1-p); endpoint corrections are O(lambda^3) because the
-    # first derivative of the summand vanishes at j = 0 for m >= 2.
-    harmonic = np.cumsum(1.0 / np.arange(1, np.max(m) + 1))
-    return harmonic[m - 1] / -np.log1p(-p) + 0.5
+    # is at most m*(1-p)^j, so the tail past J is below m*(1-p)^(J+1)/p; J is
+    # the least count (at least 1) with m*(1-p)^J/p <= _TAIL_EPS.
+    with np.errstate(divide="ignore"):  # p = 1: log1p(-1) = -inf, J = 1
+        j = np.ceil(np.log(_TAIL_EPS * p / m) / np.log1p(-p))
+    return np.maximum(j, 1).astype(np.int64)
 
 
 def _expected_max_rounds(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Array form of :func:`expected_max_rounds` for valid (m, p) pairs."""
+    """Array form of :func:`expected_max_rounds`; rows never interact."""
+    with np.errstate(divide="ignore"):
+        log_q = np.log1p(-p)
     out = np.empty(p.shape)
-    sure = p == 1.0
-    single = ~sure & (m == 1)
-    asymptotic = ~sure & ~single & (p < _SERIES_MIN_P)
-    series = ~(sure | single | asymptotic)
-    out[sure] = 1.0
-    out[single] = 1.0 / p[single]
-    if asymptotic.any():  # np.max of an empty m would raise
-        out[asymptotic] = _expected_max_asymptotic(m[asymptotic], p[asymptotic])
-    out[series] = _expected_max_series(m[series], p[series])
+    exact = (m <= 12) & (p <= 0.5)
+    euler = (m >= 13) & (p <= 0.1)
+    # sum_k (-1)^(k+1) C(m,k) / (1 - (1-p)^k), with each term scaled by p so
+    # that it stays finite down to the smallest p
+    ratios = p[exact, None] / -np.expm1(np.arange(1, 13) * log_q[exact, None])
+    out[exact] = np.sum(_SIGNED_BINOMIALS[m[exact]] * ratios, axis=1) / p[exact]
+    # Euler-Maclaurin: H_m/lambda + 1/2 with lambda = -log(1-p); the endpoint
+    # corrections vanish with the summand's derivatives at j = 0 below order m
+    harmonic = np.cumsum(1.0 / np.arange(1, m[euler].max(initial=0) + 1))
+    out[euler] = harmonic[m[euler] - 1] / -log_q[euler] + 0.5
+    # every other row sums its own J terms as one segment of a ragged array
+    tail = np.flatnonzero(~(exact | euler))
+    counts = _tail_terms(m[tail], p[tail])
+    cuts = np.flatnonzero(np.diff(np.cumsum(counts) // _TAIL_TERMS)) + 1
+    for rows, n in zip(np.split(tail, cuts), np.split(counts, cuts)):
+        starts = np.cumsum(n) - n
+        j = np.arange(n.sum()) - np.repeat(starts - 1, n)  # 1..J per row
+        qj = np.exp(np.repeat(log_q[rows], n) * j)
+        terms = -np.expm1(np.repeat(m[rows], n) * np.log1p(-qj))
+        out[rows] = 1.0 + np.add.reduceat(terms, starts)  # 1 is the j = 0 term
     return out
 
 
@@ -123,16 +116,17 @@ def expected_max_rounds(m: int, p: float) -> float:
     """Expected maximum of m independent geometric(p) round counts.
 
     This is the mean number of clock periods until the slowest of m links
-    heralds.  Exact for p = 1 and m = 1; otherwise the tail-sum series is
-    truncated once its tail bound falls below 1e-13 of the sum, switching to
-    its asymptotic limit for p < 1e-3, where direct summation would need
-    some 30/p to 40/p terms.  The exact treatment of this waiting factor is
-    in Bernardes, Praxmeyer & van Loock, PRA 83, 012323 (2011).
+    heralds, from one of three closed forms: inclusion-exclusion for
+    m <= 12 and p <= 0.5, the Euler-Maclaurin limit H_m/(-log(1-p)) + 1/2
+    for m >= 13 and p <= 0.1, and otherwise the tail sum of P(max > j) cut
+    where its geometric tail bound falls below 1e-16 (Eisenberg, Stat.
+    Probab. Lett. 78, 135 (2008)).  The exact treatment of this waiting
+    factor is in Bernardes, Praxmeyer & van Loock, PRA 83, 012323 (2011).
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError("m must be an integer >= 1")
     return float(_expected_max_rounds(np.array([m]), np.array([p]))[0])
 
 

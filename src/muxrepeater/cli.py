@@ -58,8 +58,8 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError("grid scale must be linear or log")
     if points < 2:
         raise argparse.ArgumentTypeError("grid needs at least 2 points")
-    if not start < stop:
-        raise argparse.ArgumentTypeError("grid start must be below stop")
+    if not 0 <= start < stop:
+        raise argparse.ArgumentTypeError("grid needs 0 <= start < stop")
     if scale == "log":
         if start <= 0:
             raise argparse.ArgumentTypeError("log grid needs start > 0")

@@ -131,7 +131,7 @@ def _slowest_rounds(p: float, links: int, cfg: McConfig,
                     what: str) -> McEstimate:
     """Mean over trials of the slowest of ``links`` geometric(p) rounds."""
     rng = np.random.default_rng(cfg.seed)
-    total = 0
+    total = 0.0
     total_sq = 0.0
     flagged = 0
     remaining = cfg.samples
@@ -139,12 +139,13 @@ def _slowest_rounds(p: float, links: int, cfg: McConfig,
         b = min(_TRIAL_CHUNK, remaining)
         mx = _geometric_row_max(rng, p, (b, links))
         flagged += int(np.count_nonzero(mx > cfg.max_rounds))
-        total += int(mx.sum())
+        # float sums are exact below 2**53 and, unlike int64, never wrap
         mxf = mx.astype(float)
+        total += float(np.sum(mxf))
         total_sq += float(np.sum(mxf * mxf))
         remaining -= b
     _check_flagged(flagged, cfg.samples, what)
-    return _estimate(float(total), total_sq, cfg.samples)
+    return _estimate(total, total_sq, cfg.samples)
 
 
 def mc_expected_max_rounds(n_links: int, p_g: float, cfg: McConfig) -> McEstimate:

@@ -1,14 +1,14 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from muxrepeater.chain import (
-    _expected_max_asymptotic,
     _expected_max_rounds,
-    _expected_max_series,
+    _tail_terms,
     chain_time,
     expected_max_rounds,
     mean_entanglement,
@@ -53,6 +53,21 @@ def expected_max_oracle(m: int, p: float) -> float:
         if m * qj < 1e-16 * p:
             return math.fsum(terms)
         j += 1
+
+
+def expected_max_fraction(m: int, p: float) -> float:
+    """Inclusion-exclusion sum in exact rational arithmetic, rounded once."""
+    q = 1 - Fraction(p)
+    return float(sum(Fraction((-1) ** (k + 1) * math.comb(m, k)) / (1 - q ** k)
+                     for k in range(1, m + 1)))
+
+
+def assert_matches_oracles(m: int, p: float) -> None:
+    got = _expected_max_rounds(np.array([m]), np.array([p]))[0]
+    if m <= 24:
+        assert got == pytest.approx(expected_max_fraction(m, p), rel=1e-12)
+    if 1e-3 <= p < 1.0:  # the plain summation needs some 30/p terms
+        assert got == pytest.approx(expected_max_oracle(m, p), rel=1e-12)
 
 
 def bundle_and_space():
@@ -149,12 +164,59 @@ class TestWaitingFactor:
             chain_time("semihierarchical", wv, 5, 900.0, bundle.constants,
                        space, waiting_count="link")
 
-    def test_branch_crossover_consistency(self):
-        m, p = (a.ravel() for a in np.meshgrid([2, 5, 49, 199],
-                                               [2e-3, 1e-3, 5e-4]))
-        series = _expected_max_series(m, p)
-        asym = _expected_max_asymptotic(m, p)
-        assert asym == pytest.approx(series, rel=1e-9)
+    def test_rejects_non_integer_count(self):
+        for m in (2.5, 3.0, 0):
+            with pytest.raises(ValueError, match="integer"):
+                expected_max_rounds(m, 0.3)
+
+    @given(st.integers(1, 12), st.floats(1e-300, 0.5))
+    @example(1, 0.5)
+    @example(12, 1e-300)
+    @settings(max_examples=40, deadline=None)
+    def test_exact_branch(self, m, p):
+        assert_matches_oracles(m, p)
+
+    @given(st.integers(13, 400), st.floats(1e-300, 0.1))
+    @example(13, 0.1)
+    @example(400, 1e-3)
+    @settings(max_examples=40, deadline=None)
+    def test_euler_maclaurin_branch(self, m, p):
+        assert_matches_oracles(m, p)
+
+    @given(st.integers(1, 10 ** 6), st.floats(0.1, 1.0, exclude_min=True))
+    @example(12, math.nextafter(0.5, 1.0))
+    @example(10 ** 6, math.nextafter(0.1, 1.0))
+    @example(24, 1.0)
+    @settings(max_examples=40, deadline=None)
+    def test_tail_sum_branch(self, m, p):
+        if m <= 12:
+            p = max(p, math.nextafter(0.5, 1.0))
+        assert_matches_oracles(m, p)
+
+    def test_branch_boundaries(self):
+        # both sides of every switch: m = 12 | 13, and one ulp around 0.1, 0.5
+        for edge in (0.1, 0.5):
+            p = np.array([math.nextafter(edge, 0.0), edge,
+                          math.nextafter(edge, 1.0)])
+            for m in (12, 13):
+                got = _expected_max_rounds(np.full(3, m), p)
+                for value, pi in zip(got, p):
+                    assert value == pytest.approx(
+                        expected_max_fraction(m, pi), rel=1e-12)
+
+    def test_tail_terms_meet_bound(self):
+        m, p = (a.ravel() for a in np.meshgrid(
+            [1, 12, 13, 400, 10 ** 4, 10 ** 6],
+            [math.nextafter(0.1, 1.0), 0.3, 0.5, 0.77, 0.999, 1 - 1e-12]))
+        terms = _tail_terms(m, p)
+        log_q = np.log1p(-p)
+        # the tail past J is below m*(1-p)^(J+1)/p <= 1e-16, and J is the
+        # least count with m*(1-p)^J/p <= 1e-16
+        assert np.all((terms + 1) * log_q + np.log(m / p) <= math.log(1e-16))
+        short = (terms - 1) * log_q + np.log(m / p) > math.log(1e-16)
+        assert np.all(short | (terms == 1))
+        assert _tail_terms(np.array([1, 49]), np.array([1.0, 1.0])).tolist() \
+            == [1, 1]
 
     @given(st.lists(st.tuples(st.integers(1, 400),
                               st.floats(1e-3, 1.0, exclude_max=True)),

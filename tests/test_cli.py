@@ -47,7 +47,10 @@ class TestCommands:
         for argv in (["pg-curve", "--grid", "100:10:5"],
                      ["rate-curve", "--grid", "0:1000:3"],
                      ["optimize", "--grid", "0:500:2"],
-                     ["rate-curve", "--grid", "100:inf:3"]):
+                     ["rate-curve", "--grid", "100:inf:3"],
+                     ["pg-curve", "--grid=-10:10:3"],
+                     ["ef-curve", "--grid=-10:10:3"],
+                     ["spdc", "--grid=-5:10:3"]):
             assert run(argv) == 2, argv
         capsys.readouterr()
 

@@ -72,6 +72,12 @@ class TestExpectedMaxRounds:
             with pytest.raises(SimulationBudgetError):
                 mc_expected_max_rounds(1, 5e-324, McConfig(samples=1000))
 
+    def test_huge_round_counts_do_not_wrap(self):
+        # 1000 round counts near 1e18 sum past INT64_MAX
+        est = mc_expected_max_rounds(
+            1, 1e-18, McConfig(samples=1000, seed=1, max_rounds=10 ** 19))
+        assert _within(est, 1e18)
+
 
 class TestChainTime:
     def setup_method(self):
