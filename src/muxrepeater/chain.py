@@ -176,15 +176,15 @@ class ChainPlan:
     t_per_ebit_s: float
 
 
-def _chain_setup(platform: PlatformParams, n_nodes, l_km: float,
+def _chain_setup(platform: PlatformParams, n_nodes, l_km,
                  constants: PhysicalConstants):
     """L0, clock period, link budget, P_ENC and (eta_d*eta_x)**2 of a chain.
 
-    ``n_nodes`` may be an integer array; the per-N results are then arrays.
+    ``n_nodes`` and ``l_km`` may be arrays; the results take their shape.
     """
     if np.any(np.asarray(n_nodes) < 2):
         raise ValueError("a chain needs at least 2 nodes")
-    if l_km <= 0:
+    if not np.all(l_km > 0):  # NaN fails here too
         raise ValueError("total distance must be strictly positive")
     l0_km = l_km / (n_nodes - 1)
     t_rep = l0_km / constants.c
@@ -196,14 +196,24 @@ def _chain_setup(platform: PlatformParams, n_nodes, l_km: float,
     return l0_km, t_rep, budget, p_enc, eta_final
 
 
+def _average_key(architecture: str, platform: PlatformParams,
+                 noise: NoiseParams | None) -> tuple:
+    """What besides L, N and the mode space fixes a block's ebit averages."""
+    return (architecture, (noise or NoiseParams()).effective_chi(platform),
+            platform.tau_us, platform.decoherence)
+
+
 def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
-                 l_km: float, constants: PhysicalConstants, space: ModeSpace,
+                 l_km, constants: PhysicalConstants, space: ModeSpace,
                  noise: NoiseParams | None = None,
-                 waiting_count: str = "links") -> ChainPlan:
+                 waiting_count: str = "links",
+                 averages: dict | None = None) -> ChainPlan:
     """Chain time budget for every node count in the integer array ``n``.
 
-    One numpy pass over N; see :func:`chain_time` for the model.  Entry i
-    equals the :func:`chain_time` record at n[i] whatever else ``n`` holds.
+    One numpy pass; see :func:`chain_time` for the model.  With a column of
+    distances ``l_km`` the array fields broadcast to (L, N), and each entry
+    equals the :func:`chain_time` record at its (L, N).  ``averages`` keeps
+    ebit averages by :func:`_average_key` for calls on the same L and N.
     Products of probabilities may underflow to 0 at long chains; the
     resulting divisions by 0 (or by subnormals) give T_tot = inf, R = 0 and
     T_per_ebit = inf by design, so those warnings are silenced here.
@@ -220,14 +230,19 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
             t_tot = t_rep / (p_eng * p_enc * eta_final)
             storage = t_rep
         else:
-            waits = np.full(n.shape, np.inf)
+            waits = np.full(t_rep.shape, np.inf)
             heralds = budget.p_g > 0.0
-            racers = n - 1 if waiting_count == "links" else n
+            racers = np.broadcast_to(n - 1 if waiting_count == "links" else n,
+                                     t_rep.shape)
             waits[heralds] = _expected_max_rounds(racers[heralds],
                                                   budget.p_g[heralds])
             t_tot = (t_rep * waits + l_km / constants.c) / (p_enc * eta_final)
             storage = (l_km + l0_km) / constants.c
-        mean_ef = mean_entanglement(platform, space, storage, noise)
+        averages = {} if averages is None else averages
+        key = _average_key(architecture, platform, noise)
+        if key not in averages:
+            averages[key] = mean_entanglement(platform, space, storage, noise)
+        mean_ef = averages[key]
         t_tot_s = t_tot * 1e-6
         rate_s = mean_ef / t_tot_s   # exactly 0 where t_tot_s = inf
         return ChainPlan(
@@ -268,14 +283,14 @@ def chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
     """
     block = _chain_block(architecture, platform, np.array([n_nodes]), l_km,
                          constants, space, noise, waiting_count)
-    return _row(block, 0)
+    return _rows(block, [0])[0]
 
 
-def _row(block: ChainPlan, i: int) -> ChainPlan:
-    """Entry ``i`` of a :func:`_chain_block` record, as plain numbers."""
-    return ChainPlan(**{
-        name: value[i].item() if isinstance(value, np.ndarray) else value
-        for name, value in vars(block).items()})
+def _rows(block: ChainPlan, *at) -> list[ChainPlan]:
+    """Entries at index arrays ``at`` of a :func:`_chain_block` record."""
+    columns = (np.broadcast_to(value, block.t_rep_us.shape)[at].tolist()
+               for value in vars(block).values())
+    return [ChainPlan(*row) for row in zip(*columns)]
 
 
 @dataclass(frozen=True)

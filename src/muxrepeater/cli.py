@@ -173,10 +173,6 @@ def _bundle_and_space(args) -> tuple[ParameterBundle, ModeSpace]:
     return bundle, ModeSpace.from_params(bundle.mode_space, bundle.constants)
 
 
-def _selected_platforms(bundle: ParameterBundle, names):
-    return [bundle.platform(name) for name in names]
-
-
 def _record_row(record: chain.ChainPlan) -> tuple:
     return tuple(getattr(record, field) for _, field in _RECORD_COLUMNS)
 
@@ -202,7 +198,7 @@ def _cmd_presets(args) -> int:
 
 def _cmd_pg_curve(args) -> int:
     bundle, _ = _bundle_and_space(args)
-    platforms = _selected_platforms(bundle, args.platforms)
+    platforms = [bundle.platform(name) for name in args.platforms]
     rows = []
     for l0 in args.grid:
         for platform in platforms:
@@ -227,7 +223,7 @@ def _cmd_ef_curve(args) -> int:
 
 def _cmd_rate_curve(args) -> int:
     bundle, space = _bundle_and_space(args)
-    platforms = _selected_platforms(bundle, args.platforms)
+    platforms = [bundle.platform(name) for name in args.platforms]
     records = sweep_grid(args.grid, platforms, args.archs, bundle.constants,
                           space, bundle.noise, range(2, args.n_max + 1),
                           waiting_count=args.waiting_count)
@@ -420,10 +416,7 @@ def run(argv: list[str] | None = None) -> int:
     except _OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except KeyError as exc:
+    except (ConfigError, KeyError) as exc:  # KeyError: an unknown platform
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 3
     except montecarlo.SimulationBudgetError as exc:

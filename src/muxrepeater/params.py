@@ -9,6 +9,7 @@ says otherwise, wavevectors in 1/mm, temperatures in K.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -252,8 +253,9 @@ def _build_section(cls, data: dict, key_map: dict[str, str], section: str):
         elif key == "tau_ms" and value is None:
             pass
         else:
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            _require(ok, key, f"expected a number, got {value!r}")
+            ok = isinstance(value, int) and not isinstance(value, bool)
+            ok = ok or isinstance(value, float) and math.isfinite(value)
+            _require(ok, key, f"expected a finite number, got {value!r}")
         kwargs[field_name] = value
     return cls(**kwargs)
 

@@ -2,8 +2,10 @@
 
 The figure of merit is Q(N, L) = R(N, L)/N, the delivered ebit rate per
 employed repeater node; N*(L) is its exhaustive integer argmax over the
-node-count range, evaluated in one array pass per grid point whose entries
-equal the :func:`muxrepeater.chain.chain_time` records at each N.
+node-count range.  Each (platform, architecture) pair is one array pass
+over (L x N) blocks whose entries equal the
+:func:`muxrepeater.chain.chain_time` records; platforms with one chi_eff and
+lifetime law store for equal times and so share each spectral ebit average.
 """
 
 from __future__ import annotations
@@ -12,9 +14,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chain import ChainPlan, _chain_block, _row
+from .chain import ChainPlan, _average_key, _chain_block, _rows
 from .modes import ModeSpace
 from .params import NoiseParams, PhysicalConstants, PlatformParams
+
+# (L, N) entries per chain block; a block holds at least one distance
+_BLOCK_ENTRIES = 8192
 
 
 def optimize_nodes(l_km: float, platform: PlatformParams, architecture: str,
@@ -25,19 +30,13 @@ def optimize_nodes(l_km: float, platform: PlatformParams, architecture: str,
     """Exhaustive argmax of the per-node rate over the node-count range.
 
     No unimodality is assumed: the ceil/floor alternation in the connection
-    chain makes Q(N) non-smooth.  The whole range is evaluated in one array
-    pass; the first maximum in ``n_range`` order wins, so ties break toward
-    the smaller node count of an ascending range.  The returned record is
-    the row the argmax picked, equal to the :func:`chain_time` record at N*.
+    chain makes Q(N) non-smooth.  This is the one-distance :func:`sweep`:
+    the first maximum in ``n_range`` order wins, so ties break toward the
+    smaller node count of an ascending range, and the returned record
+    equals the :func:`chain_time` record at N*.
     """
-    n_values = np.array(list(n_range), dtype=np.int64)
-    if n_values.size == 0:
-        raise ValueError("n_range must be non-empty")
-    if n_values.min() < 2:
-        raise ValueError("node counts below 2 are not valid chains")
-    block = _chain_block(architecture, platform, n_values, l_km, constants,
-                         space, noise, **chain_kwargs)
-    best = _row(block, int(np.argmax(block.q_ebit_per_s_per_node)))
+    best, = sweep([l_km], [platform], [architecture], constants, space, noise,
+                  n_range, **chain_kwargs)
     return best.n_nodes, best
 
 
@@ -49,14 +48,30 @@ def sweep(l_grid_km: Iterable[float], platforms: Sequence[PlatformParams],
     """One optimized record per (L, platform, architecture) grid point.
 
     Output order is deterministic: distance-major, then platform order as
-    given, then architecture order as given.
+    given, then architecture order as given.  Each block spans a slice of
+    at most ``_BLOCK_ENTRIES`` (L, N) entries and is dropped after its argmax.
     """
+    n_values = np.array(list(n_range), dtype=np.int64)
+    if n_values.size == 0:
+        raise ValueError("n_range must be non-empty")
+    l_values = np.array(list(l_grid_km), dtype=float)
+    step = max(1, _BLOCK_ENTRIES // n_values.size)
+    # architecture-major, so that blocks sharing an average run back to back
+    pairs = [(p, a) for a in architectures for p in platforms]
+    keys = [_average_key(a, p, noise) for p, a in pairs]
+    order = sorted(range(len(pairs)), key=lambda i: i % len(platforms))
     records = []
-    for l_km in l_grid_km:
-        for platform in platforms:
-            for architecture in architectures:
-                _, record = optimize_nodes(l_km, platform, architecture,
-                                           constants, space, noise, n_range,
-                                           **chain_kwargs)
-                records.append(record)
+    for start in range(0, l_values.size, step):
+        l_column, averages, columns = l_values[start:start + step, None], {}, []
+        for i, (platform, architecture) in enumerate(pairs):
+            block = _chain_block(architecture, platform, n_values, l_column,
+                                 constants, space, noise, averages=averages,
+                                 **chain_kwargs)
+            if keys[i] not in keys[i + 1:]:  # its last use
+                del averages[keys[i]]
+            q = block.q_ebit_per_s_per_node
+            columns.append(_rows(block, np.arange(len(q)), q.argmax(axis=1)))
+            del block, q  # before the next block is built
+        records.extend(record for row in zip(*(columns[i] for i in order))
+                       for record in row)
     return records

@@ -84,6 +84,17 @@ class TestCommands:
         assert run(["presets", "--config", str(cfg)]) == 3
         assert "chi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, argv", [
+        ('{"mode_space": {"K_max": Infinity}}',
+         ["rate-curve", "--platforms", "WV-MUX-QM", "--grid", "100:200:2"]),
+        ('{"constants": {"alpha": Infinity}}', ["spdc", "--grid", "0:10:2"]),
+        ('{"spdc": {"f_rep": Infinity}}', ["spdc"])])
+    def test_non_finite_config_exits_3(self, tmp_path, capsys, text, argv):
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(text)
+        assert run(argv + ["--config", str(cfg)]) == 3
+        assert "expected a finite number, got inf" in capsys.readouterr().err
+
     def test_removed_chi_eff_policy_key_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "old.json"
         for section, key, value in (("noise", "chi_eff_policy", "frozen_t0"),

@@ -161,6 +161,22 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match="M"):
             load_config(path)
 
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("section, key", [
+        ("constants", "alpha"), ("mode_space", "K_max"), ("noise", "B"),
+        ("spdc", "f_rep"), ("platforms", "tau_ms")])
+    def test_non_finite_number_names_key(self, tmp_path, section, key,
+                                         literal):
+        # json parses these literals although JSON itself has no such numbers
+        entry = {key: "VALUE"}
+        if section == "platforms":
+            entry = [{"name": "x", "M": 3, "chi": 0.1, "eta_r": 0.5,
+                      "decoherence": "exponential", key: "VALUE"}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: entry}).replace('"VALUE"', literal))
+        with pytest.raises(ConfigError, match=f"^{key}: expected a finite number"):
+            load_config(path)
+
     def test_round_trip_defaults(self):
         bundle = default_bundle()
         assert parse_config(dump_config(bundle)) == bundle

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from muxrepeater.chain import _chain_block, _row, chain_time
+from muxrepeater import werner
+from muxrepeater.chain import _chain_block, _rows, chain_time
 from muxrepeater.modes import ModeSpace
 from muxrepeater.params import default_bundle
+from muxrepeater.sweep import _BLOCK_ENTRIES, optimize_nodes, sweep
 
 BUNDLE = default_bundle()
-from muxrepeater.sweep import optimize_nodes, sweep
+ARCHS = ["ahierarchical", "semihierarchical"]
+WV = [BUNDLE.platform("WV-MUX-QM"), BUNDLE.platform("WV-parallel")]
 
 
 def bundle_and_space():
@@ -87,7 +90,7 @@ class TestOptimizeNodes:
         for i, n in enumerate(n_range):  # the first maximum wins
             rec = chain_time(arch, platform, n, l_km, BUNDLE.constants, space,
                              waiting_count=count)
-            assert _row(block, i) == rec
+            assert _rows(block, [i]) == [rec]
             if best is None or rec.q_ebit_per_s_per_node > best.q_ebit_per_s_per_node:
                 best = rec
         n_star, record = optimize_nodes(l_km, platform, arch, BUNDLE.constants,
@@ -181,3 +184,81 @@ class TestSweep:
         again = sweep(grid, platforms, archs, bundle.constants, space,
                       n_range=range(2, 21))
         assert records == again
+
+    @given(st.lists(st.floats(50.0, 2500.0), min_size=2, max_size=6),
+           st.lists(st.sampled_from([p.name for p in BUNDLE.platforms]),
+                    min_size=1, max_size=4),
+           st.permutations(ARCHS), st.sampled_from(["links", "nodes"]),
+           st.integers(2, 12), st.integers(0, 15))
+    @settings(max_examples=30, deadline=None)
+    def test_records_match_scalar_loop(self, grid, names, archs, count, n_lo,
+                                       span):
+        # independent oracle: chain_time at every N, keeping the first maximum
+        space = ModeSpace.default()
+        platforms = [BUNDLE.platform(name) for name in names]
+        n_range = range(n_lo, n_lo + span + 1)
+        expected = []
+        for l_km in grid:
+            for platform in platforms:
+                for arch in archs:
+                    best = None
+                    for n in n_range:
+                        rec = chain_time(arch, platform, n, l_km,
+                                         BUNDLE.constants, space,
+                                         waiting_count=count)
+                        if best is None or (rec.q_ebit_per_s_per_node >
+                                            best.q_ebit_per_s_per_node):
+                            best = rec
+                    expected.append(best)
+        assert sweep(grid, platforms, archs, BUNDLE.constants, space,
+                     n_range=n_range, waiting_count=count) == expected
+
+    @given(st.lists(st.floats(50.0, 2500.0), min_size=1, max_size=4),
+           st.sampled_from([p.name for p in BUNDLE.platforms]),
+           st.sampled_from(ARCHS), st.sampled_from(["links", "nodes"]),
+           st.integers(2, 12), st.integers(0, 40))
+    @settings(max_examples=30, deadline=None)
+    def test_block_entries_match_chain_time(self, grid, name, arch, count,
+                                            n_lo, span):
+        # entry (i, j) of an (L x N) block is the chain_time record at (L_i, N_j)
+        space = ModeSpace.default()
+        platform = BUNDLE.platform(name)
+        n_range = range(n_lo, n_lo + span + 1)
+        block = _chain_block(arch, platform, np.array(n_range),
+                             np.array(grid)[:, None], BUNDLE.constants, space,
+                             waiting_count=count)
+        rows, cols = np.indices((len(grid), len(n_range))).reshape(2, -1)
+        assert _rows(block, rows, cols) == [
+            chain_time(arch, platform, n, l_km, BUNDLE.constants, space,
+                       waiting_count=count)
+            for l_km in grid for n in n_range]
+
+    def test_platforms_share_spectral_averages(self, monkeypatch):
+        # both wavevector platforms store for the same times with one
+        # chi_eff and lifetime law, so each (L, N, architecture) is
+        # integrated once
+        rows = []
+        average_ef = werner._average_ef
+
+        def counting(space, t_us, chi_eff):
+            rows.append(np.size(t_us))
+            return average_ef(space, t_us, chi_eff)
+
+        monkeypatch.setattr(werner, "_average_ef", counting)
+        grid = np.linspace(100.0, 1000.0, 10)
+        records = sweep(grid, WV, ARCHS, BUNDLE.constants, ModeSpace.default(),
+                        n_range=range(2, 201))
+        assert len(records) == 40
+        assert sum(rows) == 2 * 10 * 199
+
+    def test_distance_slices_match_single_distances(self):
+        # 5 x 2999 (L, N) entries overflow one block, so the grid is sliced
+        n_range = range(2, 3001)
+        grid = [150.0, 420.0, 777.7, 1300.0, 2600.0]
+        assert len(grid) * len(n_range) > _BLOCK_ENTRIES
+        space = ModeSpace.default()
+        whole = sweep(grid, WV, ARCHS, BUNDLE.constants, space, n_range=n_range)
+        single = [record for l_km in grid
+                  for record in sweep([l_km], WV, ARCHS, BUNDLE.constants,
+                                      space, n_range=n_range)]
+        assert whole == single
