@@ -184,8 +184,8 @@ def _chain_setup(platform: PlatformParams, n_nodes, l_km,
     """
     if np.any(np.asarray(n_nodes) < 2):
         raise ValueError("a chain needs at least 2 nodes")
-    if not np.all(l_km > 0):  # NaN fails here too
-        raise ValueError("total distance must be strictly positive")
+    if not np.all((l_km > 0) & np.isfinite(l_km)):
+        raise ValueError("total distance must be strictly positive and finite")
     l0_km = l_km / (n_nodes - 1)
     t_rep = l0_km / constants.c
     budget = link_physics.link_budget(platform, l0_km, constants)

@@ -416,8 +416,8 @@ def run(argv: list[str] | None = None) -> int:
     except _OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, KeyError) as exc:  # KeyError: an unknown platform
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except montecarlo.SimulationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

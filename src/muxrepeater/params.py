@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, Field, dataclass, fields
 from pathlib import Path
 
 DECOHERENCE_KINDS = ("gaussian", "exponential")
@@ -159,7 +159,7 @@ class ParameterBundle:
             if p.name == name:
                 return p
         known = ", ".join(p.name for p in self.platforms)
-        raise KeyError(f"unknown platform {name!r} (known: {known})")
+        raise ConfigError(f"unknown platform {name!r} (known: {known})")
 
 
 def builtin_platforms() -> tuple[PlatformParams, ...]:
@@ -204,69 +204,52 @@ def default_bundle() -> ParameterBundle:
     )
 
 
-# JSON key <-> dataclass field mapping for each config section.
-_CONSTANTS_KEYS = {
-    "atomic_mass_rb87": "atomic_mass_rb87",
-    "boltzmann": "boltzmann",
-    "c": "c",
-    "alpha": "alpha",
-}
-_MODE_SPACE_KEYS = {
-    "K_min": "k_min",
-    "K_max": "k_max",
-    "beta": "beta",
-    "temperature": "temperature",
-    "gamma_policy": "gamma_policy",
-}
-_NOISE_KEYS = {"B": "B"}
-_SPDC_KEYS = {"f_rep": "f_rep", "chi": "chi", "eta_s": "eta_s",
-              "visibility": "visibility"}
-_PLATFORM_KEYS = {
-    "name": "name",
-    "M": "modes",
-    "chi": "chi",
-    "eta_r": "eta_r",
-    "eta_x": "eta_x",
-    "eta_s": "eta_s",
-    "eta_m": "eta_m",
-    "multiplexed": "multiplexed",
-    "enc_detection": "enc_detection",
-    "decoherence": "decoherence",
-    "tau_ms": "tau_ms",
-}
-_TOP_LEVEL_KEYS = ("constants", "mode_space", "noise", "spdc", "platforms")
+# A config key is its field's name, except for these fields.
+_KEY_RENAMES = {"modes": "M", "k_min": "K_min", "k_max": "K_max"}
+# Config sections in document order; "platforms" is an array of entries.
+_SECTIONS = {"constants": PhysicalConstants, "mode_space": ModeSpaceParams,
+             "noise": NoiseParams, "spdc": SpdcParams,
+             "platforms": PlatformParams}
 
 
-def _build_section(cls, data: dict, key_map: dict[str, str], section: str):
-    unknown = set(data) - set(key_map)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    # Python's JSON parser accepts the Infinity and NaN literals
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+# the JSON values each field annotation accepts, as named in error messages
+_JSON_TYPES = {
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "float | None": (lambda v: v is None or _is_number(v), "a finite number"),
+}
+
+
+def _config_keys(cls) -> dict[str, Field]:
+    """Config key -> dataclass field, in field order."""
+    return {_KEY_RENAMES.get(f.name, f.name): f for f in fields(cls)}
+
+
+def _build_section(cls, data, section: str):
+    _require(isinstance(data, dict), section, "expected an object")
+    keys = _config_keys(cls)
+    for key, f in keys.items():
+        if f.default is MISSING:
+            _require(key in data, key, f"required in {section}")
+    unknown = set(data) - set(keys)
     _require(not unknown, section, f"unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in data.items():
-        field_name = key_map[key]
-        if key in ("multiplexed",):
-            _require(isinstance(value, bool), key, f"expected a boolean, got {value!r}")
-        elif key in ("name", "enc_detection", "decoherence", "gamma_policy"):
-            _require(isinstance(value, str), key, f"expected a string, got {value!r}")
-        elif key == "M":
-            _require(isinstance(value, int) and not isinstance(value, bool), key,
-                     f"expected an integer, got {value!r}")
-        elif key == "tau_ms" and value is None:
-            pass
-        else:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-            ok = ok or isinstance(value, float) and math.isfinite(value)
-            _require(ok, key, f"expected a finite number, got {value!r}")
-        kwargs[field_name] = value
+        accepts, expected = _JSON_TYPES[keys[key].type]
+        _require(accepts(value), key, f"expected {expected}, got {value!r}")
+        kwargs[keys[key].name] = value
     return cls(**kwargs)
-
-
-def _build_platform(entry: dict, index: int) -> PlatformParams:
-    _require(isinstance(entry, dict), f"platforms[{index}]", "expected an object")
-    for required in ("name", "M", "chi", "eta_r"):
-        _require(required in entry, required,
-                 f"required in platforms[{index}]")
-    return _build_section(PlatformParams, entry, _PLATFORM_KEYS,
-                          f"platforms[{index}]")
 
 
 def load_config(path: str | Path | None = None) -> ParameterBundle:
@@ -298,26 +281,22 @@ def load_config(path: str | Path | None = None) -> ParameterBundle:
 def parse_config(data: dict) -> ParameterBundle:
     """Build a validated bundle from an already-parsed JSON document."""
     _require(isinstance(data, dict), "config", "top level must be an object")
-    unknown = set(data) - set(_TOP_LEVEL_KEYS)
+    unknown = set(data) - set(_SECTIONS)
     _require(not unknown, "config", f"unknown top-level keys {sorted(unknown)}")
-    constants = _build_section(PhysicalConstants, data.get("constants", {}),
-                               _CONSTANTS_KEYS, "constants")
-    mode_space = _build_section(ModeSpaceParams, data.get("mode_space", {}),
-                                _MODE_SPACE_KEYS, "mode_space")
-    noise = _build_section(NoiseParams, data.get("noise", {}), _NOISE_KEYS, "noise")
-    spdc = _build_section(SpdcParams, data.get("spdc", {}), _SPDC_KEYS, "spdc")
+    sections = {name: _build_section(cls, data.get(name, {}), name)
+                for name, cls in _SECTIONS.items() if name != "platforms"}
     if "platforms" in data:
         raw = data["platforms"]
         _require(isinstance(raw, list) and raw, "platforms",
                  "expected a non-empty array")
-        platforms = tuple(_build_platform(entry, i) for i, entry in enumerate(raw))
+        platforms = tuple(_build_section(PlatformParams, entry, f"platforms[{i}]")
+                          for i, entry in enumerate(raw))
         names = [p.name for p in platforms]
         _require(len(names) == len(set(names)), "platforms",
                  "platform names must be unique")
     else:
         platforms = builtin_platforms()
-    return ParameterBundle(constants=constants, platforms=platforms,
-                           mode_space=mode_space, noise=noise, spdc=spdc)
+    return ParameterBundle(platforms=platforms, **sections)
 
 
 def dump_config(bundle: ParameterBundle) -> dict:
@@ -325,13 +304,9 @@ def dump_config(bundle: ParameterBundle) -> dict:
 
     Round-trips exactly: ``parse_config(dump_config(b)) == b``.
     """
-    def section(obj, key_map):
-        return {key: getattr(obj, field_name) for key, field_name in key_map.items()}
+    def section(obj):
+        return {key: getattr(obj, f.name)
+                for key, f in _config_keys(type(obj)).items()}
 
-    return {
-        "constants": section(bundle.constants, _CONSTANTS_KEYS),
-        "mode_space": section(bundle.mode_space, _MODE_SPACE_KEYS),
-        "noise": section(bundle.noise, _NOISE_KEYS),
-        "spdc": section(bundle.spdc, _SPDC_KEYS),
-        "platforms": [section(p, _PLATFORM_KEYS) for p in bundle.platforms],
-    }
+    return {name: [section(p) for p in bundle.platforms] if name == "platforms"
+            else section(getattr(bundle, name)) for name in _SECTIONS}

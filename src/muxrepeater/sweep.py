@@ -48,18 +48,18 @@ def sweep(l_grid_km: Iterable[float], platforms: Sequence[PlatformParams],
     """One optimized record per (L, platform, architecture) grid point.
 
     Output order is deterministic: distance-major, then platform order as
-    given, then architecture order as given.  Each block spans a slice of
-    at most ``_BLOCK_ENTRIES`` (L, N) entries and is dropped after its argmax.
+    given, then architecture order as given.  Blocks are built in that
+    platform-then-architecture order, each over a slice of at most
+    ``_BLOCK_ENTRIES`` (L, N) entries, and each is dropped after its argmax;
+    a spectral average is kept until the last block of its slice that uses it.
     """
     n_values = np.array(list(n_range), dtype=np.int64)
     if n_values.size == 0:
         raise ValueError("n_range must be non-empty")
     l_values = np.array(list(l_grid_km), dtype=float)
     step = max(1, _BLOCK_ENTRIES // n_values.size)
-    # architecture-major, so that blocks sharing an average run back to back
-    pairs = [(p, a) for a in architectures for p in platforms]
+    pairs = [(p, a) for p in platforms for a in architectures]
     keys = [_average_key(a, p, noise) for p, a in pairs]
-    order = sorted(range(len(pairs)), key=lambda i: i % len(platforms))
     records = []
     for start in range(0, l_values.size, step):
         l_column, averages, columns = l_values[start:start + step, None], {}, []
@@ -72,6 +72,5 @@ def sweep(l_grid_km: Iterable[float], platforms: Sequence[PlatformParams],
             q = block.q_ebit_per_s_per_node
             columns.append(_rows(block, np.arange(len(q)), q.argmax(axis=1)))
             del block, q  # before the next block is built
-        records.extend(record for row in zip(*(columns[i] for i in order))
-                       for record in row)
+        records.extend(record for row in zip(*columns) for record in row)
     return records

@@ -347,7 +347,7 @@ class TestChainTime:
         with pytest.raises(ValueError):
             chain_time("ahierarchical", wv, 5, 0.0, bundle.constants, space)
 
-    @pytest.mark.parametrize("l_km", [float("nan"), -1.0, 0.0])
+    @pytest.mark.parametrize("l_km", [float("nan"), -1.0, 0.0, float("inf")])
     def test_bad_distance_names_distance(self, l_km):
         bundle, space = bundle_and_space()
         with pytest.raises(ValueError, match="total distance must be strictly"):

@@ -108,6 +108,21 @@ class TestCommands:
                     "--grid", "100:200:2"]) == 3
         assert "nonesuch" in capsys.readouterr().err
 
+    def test_handler_key_error_propagates(self, monkeypatch):
+        # only a config error is exit 3; a KeyError is a fault of the program
+        def broken(args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr("muxrepeater.cli._cmd_presets", broken)
+        with pytest.raises(KeyError, match="internal"):
+            run(["presets"])
+
+    def test_non_object_section_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"noise": "B"}')
+        assert run(["presets", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == "error: noise: expected an object\n"
+
     def test_presets_json_matches_parameter_table(self, capsys):
         assert run(["presets", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)

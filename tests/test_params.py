@@ -1,20 +1,26 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from muxrepeater.params import (
+    _SECTIONS,
     ConfigError,
     ModeSpaceParams,
     NoiseParams,
     PhysicalConstants,
     PlatformParams,
     SpdcParams,
+    _config_keys,
     builtin_platforms,
     default_bundle,
     dump_config,
     load_config,
     parse_config,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestBuiltinPlatforms:
@@ -177,6 +183,13 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match=f"^{key}: expected a finite number"):
             load_config(path)
 
+    @pytest.mark.parametrize("value", [5, "B", [1]])
+    @pytest.mark.parametrize("section", ["constants", "mode_space", "noise",
+                                         "spdc"])
+    def test_non_object_section_rejected(self, section, value):
+        with pytest.raises(ConfigError, match=f"^{section}: expected an object$"):
+            parse_config({section: value})
+
     def test_round_trip_defaults(self):
         bundle = default_bundle()
         assert parse_config(dump_config(bundle)) == bundle
@@ -195,3 +208,27 @@ class TestConfigIO:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dump_config(bundle)))
         assert load_config(path) == bundle
+
+
+class TestReadmeSchema:
+    @staticmethod
+    def readme_rows(section):
+        # cells of each row of the table under "### `<section>`", key unquoted
+        title = "platforms[]" if section == "platforms" else section
+        body = README.read_text(encoding="utf-8").split(f"### `{title}`\n")[1]
+        return [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+                for line in body.split("\n#")[0].splitlines()
+                if line.startswith("| `")]
+
+    @pytest.mark.parametrize("section", list(_SECTIONS))
+    def test_keys_match_dataclass(self, section):
+        keys = [row[0] for row in self.readme_rows(section)]
+        assert keys == list(_config_keys(_SECTIONS[section]))
+
+    @pytest.mark.parametrize("section", list(_SECTIONS))
+    def test_required_rows_are_fields_without_default(self, section):
+        keys = _config_keys(_SECTIONS[section])
+        required = [row[0] for row in self.readme_rows(section)
+                    if "required" in row]
+        assert required == [key for key, f in keys.items()
+                            if f.default is dataclasses.MISSING]

@@ -128,6 +128,11 @@ class TestOptimizeNodes:
             optimize_nodes(550.0, wv, "ahierarchical", bundle.constants,
                            space, n_range=range(1, 5))
 
+    def test_rejects_infinite_distance(self):
+        bundle, space = bundle_and_space()
+        with pytest.raises(ValueError, match="total distance must be strictly"):
+            sweep([float("inf")], WV, ARCHS, bundle.constants, space)
+
     def test_temporal_needs_more_nodes_than_multiplexed(self):
         bundle, space = bundle_and_space()
         wv = bundle.platform("WV-MUX-QM")
