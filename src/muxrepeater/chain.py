@@ -315,12 +315,14 @@ def range_limits(platform: PlatformParams, space: ModeSpace,
     c*tau*sqrt(log(1/chi)); with semihierarchical storage t = (L+L0)/c it
     bounds the total distance at (N-1)/N * tau/2 * c * log(1/chi)
     (``n_nodes=None`` takes the many-node limit).  Fixed-lifetime platforms
-    use their own tau; mode-dependent platforms use tau(K_ref).
+    use their own tau; mode-dependent platforms use tau(K_ref).  At chi >= 1
+    (read-out noise can push chi_eff there) no distance is entangled and
+    both limits are 0.
     """
     constants = constants or PhysicalConstants()
     chi = platform.chi if chi is None else chi
-    if not 0.0 < chi <= 1.0:
-        raise ValueError("chi must lie in (0, 1]")
+    if not chi > 0.0:
+        raise ValueError("chi must be positive")
     if platform.tau_us is not None:
         tau = platform.tau_us
         k_ref = None
@@ -330,7 +332,7 @@ def range_limits(platform: PlatformParams, space: ModeSpace,
                              "mode-dependent lifetimes")
         tau = space.gamma / k_ref_inv_mm
         k_ref = k_ref_inv_mm
-    log_gain = math.log(1.0 / chi)
+    log_gain = max(0.0, math.log(1.0 / chi))
     l0_max = constants.c * tau * math.sqrt(log_gain)
     factor = 1.0 if n_nodes is None else (n_nodes - 1) / n_nodes
     l_max = factor * (tau / 2.0) * constants.c * log_gain

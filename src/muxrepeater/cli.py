@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,9 @@ import numpy as np
 from . import chain, montecarlo, serialize
 from .link import link_budget
 from .modes import ModeSpace
-from .params import ConfigError, ParameterBundle, load_config
+from .params import ConfigError, load_config
 from .sweep import sweep as sweep_grid
-from .werner import average_ef, ef_of_mode
+from .werner import average_ef, ef_of_mode, entanglement_of_formation
 
 # (column, ChainPlan field): the one source of record header and row order
 _RECORD_COLUMNS = (
@@ -142,37 +143,6 @@ def _parse_n_nodes(text: str) -> int | None:
     return value
 
 
-def _add_io_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", default=None, metavar="PATH",
-                     help="JSON config file (defaults apply when omitted)")
-    sub.add_argument("--output", "-o", default=None, metavar="PATH",
-                     help="output file (stdout when omitted)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
-class _OutputError(Exception):
-    """The --output file cannot be written; a usage error."""
-
-
-def _emit(args, header, rows) -> None:
-    if args.format == "csv":
-        text = serialize.csv_text(header, rows)
-    else:
-        text = serialize.json_text([dict(zip(header, row)) for row in rows])
-    if args.output:
-        try:
-            Path(args.output).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise _OutputError(f"cannot write {args.output}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
-
-
-def _bundle_and_space(args) -> tuple[ParameterBundle, ModeSpace]:
-    bundle = load_config(args.config)
-    return bundle, ModeSpace.from_params(bundle.mode_space, bundle.constants)
-
-
 def _record_row(record: chain.ChainPlan) -> tuple:
     return tuple(getattr(record, field) for _, field in _RECORD_COLUMNS)
 
@@ -185,31 +155,26 @@ def _z_score(analytic: float, estimate: montecarlo.McEstimate) -> float:
     return 0.0 if diff == 0.0 else math.inf
 
 
-def _cmd_presets(args) -> int:
-    bundle, _ = _bundle_and_space(args)
+def _cmd_presets(args, bundle, space):
     header = ("name", "M", "chi", "tau_ms", "eta_x", "eta_r", "eta_s",
               "eta_m", "multiplexed", "enc_detection", "decoherence")
     rows = [(p.name, p.modes, p.chi, p.tau_ms, p.eta_x, p.eta_r, p.eta_s,
              p.eta_m, p.multiplexed, p.enc_detection, p.decoherence)
             for p in bundle.platforms]
-    _emit(args, header, rows)
-    return 0
+    return header, rows
 
 
-def _cmd_pg_curve(args) -> int:
-    bundle, _ = _bundle_and_space(args)
+def _cmd_pg_curve(args, bundle, space):
     platforms = [bundle.platform(name) for name in args.platforms]
     rows = []
     for l0 in args.grid:
         for platform in platforms:
             budget = link_budget(platform, l0, bundle.constants)
             rows.append((l0, platform.name, budget.p_g))
-    _emit(args, ("L0_km", "platform", "p_g"), rows)
-    return 0
+    return ("L0_km", "platform", "p_g"), rows
 
 
-def _cmd_ef_curve(args) -> int:
-    bundle, space = _bundle_and_space(args)
+def _cmd_ef_curve(args, bundle, space):
     rows = []
     for l0 in args.grid:
         t_us = l0 / bundle.constants.c
@@ -217,71 +182,55 @@ def _cmd_ef_curve(args) -> int:
             rows.append((l0, t_us, f"K={k:g}", float(ef_of_mode(k, t_us,
                                                                 args.chi, space))))
         rows.append((l0, t_us, "average", average_ef(space, t_us, args.chi)))
-    _emit(args, ("L0_km", "t_us", "series", "E_F"), rows)
-    return 0
+    return ("L0_km", "t_us", "series", "E_F"), rows
 
 
-def _cmd_rate_curve(args) -> int:
-    bundle, space = _bundle_and_space(args)
+def _cmd_rate_curve(args, bundle, space):
     platforms = [bundle.platform(name) for name in args.platforms]
     records = sweep_grid(args.grid, platforms, args.archs, bundle.constants,
-                          space, bundle.noise, range(2, args.n_max + 1),
-                          waiting_count=args.waiting_count)
+                         space, bundle.noise, range(2, args.n_max + 1),
+                         waiting_count=args.waiting_count)
     rows = [_record_row(r) for r in records]
     if not args.no_spdc:
+        # each detected pair carries E_F(visibility) ebit
+        ef = float(entanglement_of_formation(bundle.spdc.visibility))
+        per_pair = replace(bundle.spdc, visibility=1.0)
         for l_km in args.grid:
-            t_us = chain.spdc_time(l_km, bundle.spdc, bundle.constants)
-            t_s = t_us * 1e-6
+            t_s = chain.spdc_time(l_km, bundle.spdc, bundle.constants) * 1e-6
             rate = 1.0 / t_s if math.isfinite(t_s) and t_s > 0 else 0.0
+            t_pair_s = chain.spdc_time(l_km, per_pair, bundle.constants) * 1e-6
             spdc = {"platform": "SPDC", "architecture": "direct",
-                    "L_km": l_km, "mean_EF": 1.0, "T_tot_s": t_s,
+                    "L_km": l_km, "mean_EF": ef, "T_tot_s": t_pair_s,
                     "R_ebit_per_s": rate, "T_per_ebit_s": t_s}
             rows.append(tuple(spdc.get(column) for column in _RECORD_HEADER))
-    _emit(args, _RECORD_HEADER, rows)
-    return 0
+    return _RECORD_HEADER, rows
 
 
-def _cmd_optimize(args) -> int:
-    bundle, space = _bundle_and_space(args)
-    records = sweep_grid(args.grid, [bundle.platform(args.platform)],
-                         [args.arch], bundle.constants, space, bundle.noise,
-                         range(2, args.n_max + 1),
-                         waiting_count=args.waiting_count)
-    _emit(args, _RECORD_HEADER, [_record_row(r) for r in records])
-    return 0
-
-
-def _cmd_limits(args) -> int:
-    bundle, space = _bundle_and_space(args)
+def _cmd_limits(args, bundle, space):
     header = ("platform", "k_ref_inv_mm", "tau_us", "chi",
               "L0_max_ahier_km", "L_max_semihier_km")
     rows = []
     for platform in bundle.platforms:
+        chi = bundle.noise.effective_chi(platform)
         limits = chain.range_limits(platform, space, args.k_ref, args.n_nodes,
-                                    bundle.constants)
-        rows.append((platform.name, limits.k_ref_inv_mm, limits.tau_us,
-                     platform.chi, limits.l0_max_ahier_km,
-                     limits.l_max_semihier_km))
-    _emit(args, header, rows)
-    return 0
+                                    bundle.constants, chi=chi)
+        rows.append((platform.name, limits.k_ref_inv_mm, limits.tau_us, chi,
+                     limits.l0_max_ahier_km, limits.l_max_semihier_km))
+    return header, rows
 
 
-def _cmd_spdc(args) -> int:
-    bundle, _ = _bundle_and_space(args)
+def _cmd_spdc(args, bundle, space):
     rows = []
     for l_km in args.grid:
         t_s = chain.spdc_time(l_km, bundle.spdc, bundle.constants) * 1e-6
         rows.append((l_km, t_s))
-    _emit(args, ("L_km", "T_per_ebit_s"), rows)
-    return 0
+    return ("L_km", "T_per_ebit_s"), rows
 
 
-def _cmd_mc_validate(args) -> int:
-    bundle, space = _bundle_and_space(args)
+def _cmd_mc_validate(args, bundle, space):
     header = ("check", "n_nodes", "p_g", "analytic", "mc_mean",
               "mc_std_error", "z_score", "passed")
     rows = []
-    all_passed = True
     cell = 0
     for n_nodes in _MC_GRID_NODES:
         for p_g in _MC_GRID_PROBS:
@@ -291,10 +240,8 @@ def _cmd_mc_validate(args) -> int:
             estimate = montecarlo.mc_expected_max_rounds(racers, p_g, cfg)
             analytic = chain.expected_max_rounds(racers, p_g)
             z = _z_score(analytic, estimate)
-            passed = z <= 3.0
-            all_passed &= passed
             rows.append(("waiting_rounds", n_nodes, p_g, analytic,
-                         estimate.mean, estimate.std_error, z, passed))
+                         estimate.mean, estimate.std_error, z, z <= 3.0))
             cell += 1
     if args.chain_samples > 0:
         platform = bundle.platform("WV-MUX-QM")
@@ -306,13 +253,10 @@ def _cmd_mc_validate(args) -> int:
                                           bundle.constants, space, cfg,
                                           bundle.noise)
         z = _z_score(plan.t_tot_us, result.t_tot_us)
-        passed = z <= 3.0
-        all_passed &= passed
         rows.append(("chain_t_tot_us", 5, plan.p_g, plan.t_tot_us,
                      result.t_tot_us.mean, result.t_tot_us.std_error, z,
-                     passed))
-    _emit(args, header, rows)
-    return 0 if all_passed else 4
+                     z <= 3.0))
+    return header, rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,34 +264,38 @@ def build_parser() -> argparse.ArgumentParser:
         prog="muxrepeater",
         description="Rate modeling for multiplexed quantum-memory repeater chains")
     subparsers = parser.add_subparsers(dest="command", required=True)
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--config", default=None, metavar="PATH",
+                    help="JSON config file (defaults apply when omitted)")
+    io.add_argument("--output", "-o", default=None, metavar="PATH",
+                    help="output file (stdout when omitted)")
+    io.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sub = subparsers.add_parser("presets", help="dump the platform parameter table")
-    _add_io_options(sub)
-    sub.set_defaults(func=_cmd_presets)
+    def command(name, func, help):
+        sub = subparsers.add_parser(name, parents=[io], help=help)
+        sub.set_defaults(func=func)
+        return sub
 
-    sub = subparsers.add_parser(
-        "pg-curve", help="link heralding probability versus elementary distance")
-    _add_io_options(sub)
+    command("presets", _cmd_presets, "dump the platform parameter table")
+
+    sub = command("pg-curve", _cmd_pg_curve,
+                  "link heralding probability versus elementary distance")
     sub.add_argument("--grid", type=_parse_grid, default=_parse_grid("10:250:100"),
                      metavar="L0_START:STOP:POINTS[:SCALE]")
     sub.add_argument("--platforms", type=_parse_name_list,
                      default=["WV-MUX-QM", "WV-parallel", "Temporal"])
-    sub.set_defaults(func=_cmd_pg_curve)
 
-    sub = subparsers.add_parser(
-        "ef-curve", help="per-mode and mode-averaged ebit content versus distance")
-    _add_io_options(sub)
+    sub = command("ef-curve", _cmd_ef_curve,
+                  "per-mode and mode-averaged ebit content versus distance")
     sub.add_argument("--grid", type=_parse_grid, default=_parse_grid("10:400:100"),
                      metavar="L0_START:STOP:POINTS[:SCALE]")
     sub.add_argument("--modes", type=_parse_float_list, default=[10.0, 100.0, 1000.0],
                      help="wavevector moduli (1/mm) to trace individually")
     sub.add_argument("--chi", type=_open_unit_float, default=0.05,
                      help="effective excitation probability")
-    sub.set_defaults(func=_cmd_ef_curve)
 
-    sub = subparsers.add_parser(
-        "rate-curve", help="optimized per-ebit transfer time versus total distance")
-    _add_io_options(sub)
+    sub = command("rate-curve", _cmd_rate_curve,
+                  "optimized per-ebit transfer time versus total distance")
     sub.add_argument("--grid", type=_parse_l_grid, default="100:1000:10",
                      metavar="L_START:STOP:POINTS[:SCALE]")
     sub.add_argument("--platforms", type=_parse_name_list,
@@ -359,40 +307,34 @@ def build_parser() -> argparse.ArgumentParser:
                      default="links")
     sub.add_argument("--no-spdc", action="store_true",
                      help="omit the midway-source baseline rows")
-    sub.set_defaults(func=_cmd_rate_curve)
 
-    sub = subparsers.add_parser(
-        "optimize", help="optimal node count and full record per total distance")
-    _add_io_options(sub)
+    # optimize is rate-curve for one platform and one architecture, no SPDC
+    sub = command("optimize", _cmd_rate_curve,
+                  "optimal node count and full record per total distance")
     sub.add_argument("--grid", type=_parse_l_grid, default="100:1000:10",
                      metavar="L_START:STOP:POINTS[:SCALE]")
-    sub.add_argument("--platform", default="WV-MUX-QM")
-    sub.add_argument("--arch", choices=chain.ARCHITECTURES,
-                     default="ahierarchical")
+    sub.add_argument("--platform", nargs=1, dest="platforms", metavar="PLATFORM",
+                     default=["WV-MUX-QM"])
+    sub.add_argument("--arch", nargs=1, dest="archs", choices=chain.ARCHITECTURES,
+                     default=["ahierarchical"])
     sub.add_argument("--n-max", type=_int_at_least(2), default=200)
     sub.add_argument("--waiting-count", choices=chain.WAITING_COUNTS,
                      default="links")
-    sub.set_defaults(func=_cmd_optimize)
+    sub.set_defaults(no_spdc=True)
 
-    sub = subparsers.add_parser(
-        "limits", help="maximal reach per platform from the entanglement threshold")
-    _add_io_options(sub)
+    sub = command("limits", _cmd_limits,
+                  "maximal reach per platform from the entanglement threshold")
     sub.add_argument("--k-ref", type=_positive_float, default=10.0,
                      help="reference wavevector (1/mm) for mode-dependent lifetimes")
     sub.add_argument("--n-nodes", type=_parse_n_nodes, default=None,
                      help="node count for the held-architecture bound ('inf' default)")
-    sub.set_defaults(func=_cmd_limits)
 
-    sub = subparsers.add_parser(
-        "spdc", help="per-ebit time of the midway-source baseline")
-    _add_io_options(sub)
+    sub = command("spdc", _cmd_spdc, "per-ebit time of the midway-source baseline")
     sub.add_argument("--grid", type=_parse_grid, default=_parse_grid("100:1000:10"),
                      metavar="L_START:STOP:POINTS[:SCALE]")
-    sub.set_defaults(func=_cmd_spdc)
 
-    sub = subparsers.add_parser(
-        "mc-validate", help="analytic versus Monte Carlo comparison table")
-    _add_io_options(sub)
+    sub = command("mc-validate", _cmd_mc_validate,
+                  "analytic versus Monte Carlo comparison table")
     sub.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
     sub.add_argument("--seed", type=_int_at_least(0), default=42,
                      help="base seed; cell i uses seed+i, the chain check seed+1000")
@@ -400,28 +342,44 @@ def build_parser() -> argparse.ArgumentParser:
                      help="trials for the end-to-end chain check (0 skips it)")
     sub.add_argument("--waiting-count", choices=chain.WAITING_COUNTS,
                      default="links")
-    sub.set_defaults(func=_cmd_mc_validate)
 
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Parse, load the config, run one subcommand and write its table.
+
+    Returns 4 when the table has a ``passed`` column with a false entry.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
-    except _OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        bundle = load_config(args.config)
+        space = ModeSpace.from_params(bundle.mode_space, bundle.constants)
+        header, rows = args.func(args, bundle, space)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except montecarlo.SimulationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    write = serialize.csv_text if args.format == "csv" else serialize.json_text
+    text = write(header, rows)
+    if args.output:
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return 2
+    else:
+        sys.stdout.write(text)
+    if "passed" in header:
+        column = header.index("passed")
+        if not all(row[column] for row in rows):
+            return 4
+    return 0
 
 
 def main() -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from typing import Iterable, Sequence
 
@@ -41,46 +42,16 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _json_fragment(obj, out: list[str], indent: int) -> None:
-    pad = " " * indent
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_JSON_FLOAT.format(obj) if math.isfinite(obj) else "null")
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (key, value) in enumerate(items):
-            out.append(pad + "  " + '"' + str(key) + '": ')
-            _json_fragment(value, out, indent + 2)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad + "  ")
-            _json_fragment(value, out, indent + 2)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _json_value(value) -> str:
+    if isinstance(value, float):
+        return _JSON_FLOAT.format(value) if math.isfinite(value) else "null"
+    return json.dumps(value, ensure_ascii=False)
 
 
-def json_text(obj) -> str:
-    """Render a dict/list tree to JSON with fixed float formatting."""
-    out: list[str] = []
-    _json_fragment(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+def json_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Render rows to a JSON array of objects keyed by the header."""
+    keys = [f"    {json.dumps(key, ensure_ascii=False)}: " for key in header]
+    objects = ["  {\n" + ",\n".join(key + _json_value(value)
+                                     for key, value in zip(keys, row)) + "\n  }"
+               for row in rows]
+    return "[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n"

@@ -396,6 +396,15 @@ class TestRangeLimits:
         assert limits.l0_max_ahier_km == 0.0
         assert limits.l_max_semihier_km == 0.0
 
+    def test_chi_past_one_kills_range(self):
+        bundle, space = bundle_and_space()
+        wv = bundle.platform("WV-MUX-QM")
+        limits = range_limits(wv, space, 10.0, 5, bundle.constants, chi=1.5)
+        assert limits.l0_max_ahier_km == 0.0
+        assert limits.l_max_semihier_km == 0.0
+        with pytest.raises(ValueError):
+            range_limits(wv, space, 10.0, None, bundle.constants, chi=0.0)
+
     def test_fixed_lifetime_platform_ignores_k_ref(self):
         bundle, space = bundle_and_space()
         lattice = bundle.platform("Lattice-SM")

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from muxrepeater.chain import expected_max_rounds
+from muxrepeater.chain import expected_max_rounds, spdc_time
 from muxrepeater.cli import run
+from muxrepeater.modes import ModeSpace
+from muxrepeater.params import PhysicalConstants, SpdcParams, load_config
 from muxrepeater.serialize import csv_text, format_csv_value, json_text
+from muxrepeater.werner import ef_of_mode, entanglement_of_formation
 
 
 class TestSerialize:
@@ -26,8 +32,8 @@ class TestSerialize:
         assert text == 'a,b\n"x,y",1\n'
 
     def test_json_floats_full_precision(self):
-        text = json_text({"x": 0.1, "bad": float("inf"), "n": 3})
-        data = json.loads(text)
+        text = json_text(("x", "bad", "n"), [(0.1, float("inf"), 3)])
+        [data] = json.loads(text)
         assert data["x"] == 0.1
         assert data["bad"] is None
         assert data["n"] == 3
@@ -110,7 +116,7 @@ class TestCommands:
 
     def test_handler_key_error_propagates(self, monkeypatch):
         # only a config error is exit 3; a KeyError is a fault of the program
-        def broken(args):
+        def broken(args, bundle, space):
             raise KeyError("internal")
 
         monkeypatch.setattr("muxrepeater.cli._cmd_presets", broken)
@@ -208,6 +214,107 @@ class TestCommands:
             direct = np.random.default_rng(42 + cell).geometric(
                 row["p_g"], size=(70_000, racers))
             assert row["mc_mean"] == direct.max(axis=1).mean(), row
+
+
+    def test_json_escapes_control_characters(self, tmp_path, capsys):
+        name = "a\tb\u0001"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"platforms": [
+            {"name": name, "M": 5, "chi": 0.05, "eta_r": 0.7,
+             "decoherence": "exponential", "tau_ms": 1.0}]}))
+        assert run(["presets", "--format", "json", "--config", str(cfg)]) == 0
+        [row] = json.loads(capsys.readouterr().out)
+        assert row["name"] == name
+
+    def test_failing_check_exits_4_after_full_table(self, monkeypatch, capsys):
+        monkeypatch.setattr("muxrepeater.cli._z_score", lambda *args: math.inf)
+        assert run(["mc-validate", "--samples", "200",
+                    "--chain-samples", "200"]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 17
+        assert all(line.endswith(",false") for line in lines[1:])
+
+    @pytest.mark.parametrize("visibility", [0.9, 0.3])
+    def test_spdc_rows_follow_source_visibility(self, tmp_path, capsys,
+                                                visibility):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spdc": {"visibility": visibility}}))
+        assert run(["rate-curve", "--grid", "100:200:2", "--n-max", "4",
+                    "--platforms", "Temporal", "--archs", "ahierarchical",
+                    "--config", str(cfg)]) == 0
+        rows = [row for row in csv.DictReader(
+            io.StringIO(capsys.readouterr().out)) if row["platform"] == "SPDC"]
+        assert len(rows) == 2
+        source, constants = SpdcParams(visibility=visibility), PhysicalConstants()
+        ef = entanglement_of_formation(visibility)
+        for row in rows:
+            l_km = float(row["L_km"])
+            per_pair = spdc_time(l_km, SpdcParams(), constants) * 1e-6
+            per_ebit = spdc_time(l_km, source, constants) * 1e-6
+            assert row["mean_EF"] == format_csv_value(ef)
+            assert row["T_tot_s"] == format_csv_value(per_pair)
+            assert row["T_per_ebit_s"] == format_csv_value(per_ebit)
+            assert "nan" not in row.values()
+            if visibility > 1 / 3:
+                assert 0.78 < ef < 0.79
+                assert row["R_ebit_per_s"] == format_csv_value(1.0 / per_ebit)
+            else:
+                assert ef == 0.0
+                assert row["R_ebit_per_s"] == format_csv_value(0.0)
+                assert row["T_per_ebit_s"] == "inf"
+
+    def test_limits_use_effective_chi(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noise": {"B": 0.05}}))
+        assert run(["limits", "--format", "json", "--config", str(cfg)]) == 0
+        rows = {row["platform"]: row for row in json.loads(capsys.readouterr().out)}
+        bundle = load_config(str(cfg))
+        space = ModeSpace.from_params(bundle.mode_space, bundle.constants)
+        wv = rows["WV-MUX-QM"]
+        chi_eff = bundle.noise.effective_chi(bundle.platform("WV-MUX-QM"))
+        assert wv["chi"] == chi_eff
+        l0_max = wv["L0_max_ahier_km"]
+        k_ref = wv["k_ref_inv_mm"]
+        c = bundle.constants.c
+        assert ef_of_mode(k_ref, 0.99 * l0_max / c, chi_eff, space) > 0.0
+        assert ef_of_mode(k_ref, 1.01 * l0_max / c, chi_eff, space) == 0.0
+
+    def test_limits_vanish_when_noise_pushes_chi_past_one(self, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noise": {"B": 0.7}}))
+        assert run(["limits", "--format", "json", "--config", str(cfg)]) == 0
+        rows = {row["platform"]: row for row in json.loads(capsys.readouterr().out)}
+        for name in ("WV-MUX-QM", "WV-parallel", "Temporal"):
+            assert rows[name]["chi"] > 1.0
+            assert rows[name]["L0_max_ahier_km"] == 0.0
+            assert rows[name]["L_max_semihier_km"] == 0.0
+        assert rows["Lattice-SM"]["L0_max_ahier_km"] > 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ["presets"],
+        ["pg-curve", "--grid", "10:100:3"],
+        ["ef-curve", "--grid", "10:100:3", "--modes", "10,1000"],
+        ["rate-curve", "--grid", "100:300:2", "--n-max", "20"],
+        ["optimize", "--grid", "100:300:2", "--n-max", "20"],
+        ["limits"],
+        ["spdc", "--grid", "0:100:3"],
+        ["mc-validate", "--samples", "20000", "--chain-samples", "2000",
+         "--seed", "11"]])
+    def test_json_table_matches_csv(self, argv, capsys):
+        code = run(argv)
+        csv_rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert run(argv + ["--format", "json"]) == code
+        json_rows = json.loads(capsys.readouterr().out)
+        header, cells = csv_rows[0], csv_rows[1:]
+        assert len(json_rows) == len(cells) > 0
+        for json_row, csv_row in zip(json_rows, cells):
+            assert list(json_row) == header
+            for value, cell in zip(json_row.values(), csv_row):
+                if value is None:
+                    assert cell in ("", "inf", "-inf", "nan")
+                else:
+                    assert cell == format_csv_value(value)
 
 
 class TestDeterminism:
