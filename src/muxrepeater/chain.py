@@ -182,6 +182,8 @@ def _chain_setup(platform: PlatformParams, n_nodes, l_km,
 
     ``n_nodes`` and ``l_km`` may be arrays; the results take their shape.
     """
+    if not np.issubdtype(np.asarray(n_nodes).dtype, np.integer):
+        raise ValueError("node counts must be integers")
     if np.any(np.asarray(n_nodes) < 2):
         raise ValueError("a chain needs at least 2 nodes")
     if not np.all((l_km > 0) & np.isfinite(l_km)):
@@ -196,13 +198,6 @@ def _chain_setup(platform: PlatformParams, n_nodes, l_km,
     return l0_km, t_rep, budget, p_enc, eta_final
 
 
-def _average_key(architecture: str, platform: PlatformParams,
-                 noise: NoiseParams | None) -> tuple:
-    """What besides L, N and the mode space fixes a block's ebit averages."""
-    return (architecture, (noise or NoiseParams()).effective_chi(platform),
-            platform.tau_us, platform.decoherence)
-
-
 def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
                  l_km, constants: PhysicalConstants, space: ModeSpace,
                  noise: NoiseParams | None = None,
@@ -213,7 +208,8 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
     One numpy pass; see :func:`chain_time` for the model.  With a column of
     distances ``l_km`` the array fields broadcast to (L, N), and each entry
     equals the :func:`chain_time` record at its (L, N).  ``averages`` keeps
-    ebit averages by :func:`_average_key` for calls on the same L and N.
+    ebit averages for calls on the same L and N, keyed by what else fixes
+    them: the architecture, chi_eff and the lifetime law.
     Products of probabilities may underflow to 0 at long chains; the
     resulting divisions by 0 (or by subnormals) give T_tot = inf, R = 0 and
     T_per_ebit = inf by design, so those warnings are silenced here.
@@ -239,7 +235,8 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
             t_tot = (t_rep * waits + l_km / constants.c) / (p_enc * eta_final)
             storage = (l_km + l0_km) / constants.c
         averages = {} if averages is None else averages
-        key = _average_key(architecture, platform, noise)
+        key = (architecture, (noise or NoiseParams()).effective_chi(platform),
+               platform.tau_us, platform.decoherence)
         if key not in averages:
             averages[key] = mean_entanglement(platform, space, storage, noise)
         mean_ef = averages[key]
@@ -319,6 +316,8 @@ def range_limits(platform: PlatformParams, space: ModeSpace,
     (read-out noise can push chi_eff there) no distance is entangled and
     both limits are 0.
     """
+    if n_nodes is not None and n_nodes < 2:
+        raise ValueError("a chain needs at least 2 nodes")
     constants = constants or PhysicalConstants()
     chi = platform.chi if chi is None else chi
     if not chi > 0.0:

@@ -22,9 +22,13 @@ class ConfigError(ValueError):
     """A configuration value is out of range or the file is malformed."""
 
 
-def _require(condition: bool, field_name: str, message: str) -> None:
+# A config key is its field's name, except for these fields.
+_KEY_RENAMES = {"modes": "M", "k_min": "K_min", "k_max": "K_max"}
+
+
+def _require(condition: bool, name: str, message: str) -> None:
     if not condition:
-        raise ConfigError(f"{field_name}: {message}")
+        raise ConfigError(f"{_KEY_RENAMES.get(name, name)}: {message}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class PlatformParams:
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "name", "must be a non-empty string")
-        _require(isinstance(self.modes, int) and self.modes >= 1, "M",
+        _require(isinstance(self.modes, int) and self.modes >= 1, "modes",
                  "must be an integer >= 1")
         _require(0.0 < self.chi < 1.0, "chi", "must lie in (0, 1)")
         for field_name in ("eta_r", "eta_x", "eta_s", "eta_m"):
@@ -106,8 +110,8 @@ class ModeSpaceParams:
     gamma_policy: str = "rounded"
 
     def __post_init__(self) -> None:
-        _require(self.k_min > 0, "K_min", "must be strictly positive")
-        _require(self.k_min < self.k_max, "K_max", "must exceed K_min")
+        _require(self.k_min > 0, "k_min", "must be strictly positive")
+        _require(self.k_min < self.k_max, "k_max", "must exceed K_min")
         _require(self.beta > 0, "beta", "must be strictly positive")
         _require(self.temperature > 0, "temperature", "must be strictly positive")
         _require(self.gamma_policy in GAMMA_POLICIES, "gamma_policy",
@@ -204,8 +208,6 @@ def default_bundle() -> ParameterBundle:
     )
 
 
-# A config key is its field's name, except for these fields.
-_KEY_RENAMES = {"modes": "M", "k_min": "K_min", "k_max": "K_max"}
 # Config sections in document order; "platforms" is an array of entries.
 _SECTIONS = {"constants": PhysicalConstants, "mode_space": ModeSpaceParams,
              "noise": NoiseParams, "spdc": SpdcParams,

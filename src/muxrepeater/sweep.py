@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chain import ChainPlan, _average_key, _chain_block, _rows
+from .chain import ChainPlan, _chain_block, _rows
 from .modes import ModeSpace
 from .params import NoiseParams, PhysicalConstants, PlatformParams
 
@@ -26,7 +26,7 @@ def optimize_nodes(l_km: float, platform: PlatformParams, architecture: str,
                    constants: PhysicalConstants, space: ModeSpace,
                    noise: NoiseParams | None = None,
                    n_range: Sequence[int] = range(2, 201),
-                   **chain_kwargs) -> tuple[int, ChainPlan]:
+                   waiting_count: str = "links") -> tuple[int, ChainPlan]:
     """Exhaustive argmax of the per-node rate over the node-count range.
 
     No unimodality is assumed: the ceil/floor alternation in the connection
@@ -36,7 +36,7 @@ def optimize_nodes(l_km: float, platform: PlatformParams, architecture: str,
     equals the :func:`chain_time` record at N*.
     """
     best, = sweep([l_km], [platform], [architecture], constants, space, noise,
-                  n_range, **chain_kwargs)
+                  n_range, waiting_count)
     return best.n_nodes, best
 
 
@@ -44,31 +44,28 @@ def sweep(l_grid_km: Iterable[float], platforms: Sequence[PlatformParams],
           architectures: Sequence[str], constants: PhysicalConstants,
           space: ModeSpace, noise: NoiseParams | None = None,
           n_range: Sequence[int] = range(2, 201),
-          **chain_kwargs) -> list[ChainPlan]:
+          waiting_count: str = "links") -> list[ChainPlan]:
     """One optimized record per (L, platform, architecture) grid point.
 
     Output order is deterministic: distance-major, then platform order as
     given, then architecture order as given.  Blocks are built in that
     platform-then-architecture order, each over a slice of at most
     ``_BLOCK_ENTRIES`` (L, N) entries, and each is dropped after its argmax;
-    a spectral average is kept until the last block of its slice that uses it.
+    the spectral averages of a slice are kept until the slice ends.
     """
-    n_values = np.array(list(n_range), dtype=np.int64)
+    n_values = np.array(list(n_range))
     if n_values.size == 0:
         raise ValueError("n_range must be non-empty")
     l_values = np.array(list(l_grid_km), dtype=float)
     step = max(1, _BLOCK_ENTRIES // n_values.size)
     pairs = [(p, a) for p in platforms for a in architectures]
-    keys = [_average_key(a, p, noise) for p, a in pairs]
     records = []
     for start in range(0, l_values.size, step):
         l_column, averages, columns = l_values[start:start + step, None], {}, []
-        for i, (platform, architecture) in enumerate(pairs):
+        for platform, architecture in pairs:
             block = _chain_block(architecture, platform, n_values, l_column,
-                                 constants, space, noise, averages=averages,
-                                 **chain_kwargs)
-            if keys[i] not in keys[i + 1:]:  # its last use
-                del averages[keys[i]]
+                                 constants, space, noise, waiting_count,
+                                 averages)
             q = block.q_ebit_per_s_per_node
             columns.append(_rows(block, np.arange(len(q)), q.argmax(axis=1)))
             del block, q  # before the next block is built

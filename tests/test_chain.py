@@ -347,6 +347,14 @@ class TestChainTime:
         with pytest.raises(ValueError):
             chain_time("ahierarchical", wv, 5, 0.0, bundle.constants, space)
 
+    @pytest.mark.parametrize("n_nodes", [2.5, 5.0, np.float64(5.0)],
+                             ids=["half", "float", "numpy-float"])
+    def test_rejects_non_integer_node_count(self, n_nodes):
+        bundle, space = bundle_and_space()
+        with pytest.raises(ValueError, match="node counts must be integers"):
+            chain_time("ahierarchical", bundle.platform("WV-MUX-QM"), n_nodes,
+                       100.0, bundle.constants, space)
+
     @pytest.mark.parametrize("l_km", [float("nan"), -1.0, 0.0, float("inf")])
     def test_bad_distance_names_distance(self, l_km):
         bundle, space = bundle_and_space()
@@ -404,6 +412,13 @@ class TestRangeLimits:
         assert limits.l_max_semihier_km == 0.0
         with pytest.raises(ValueError):
             range_limits(wv, space, 10.0, None, bundle.constants, chi=0.0)
+
+    @pytest.mark.parametrize("n_nodes", [0, 1, -3])
+    def test_rejects_chains_below_two_nodes(self, n_nodes):
+        bundle, space = bundle_and_space()
+        wv = bundle.platform("WV-MUX-QM")
+        with pytest.raises(ValueError, match="a chain needs at least 2 nodes"):
+            range_limits(wv, space, 10.0, n_nodes, bundle.constants)
 
     def test_fixed_lifetime_platform_ignores_k_ref(self):
         bundle, space = bundle_and_space()

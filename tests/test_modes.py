@@ -6,7 +6,6 @@ import pytest
 
 from muxrepeater.modes import (
     ModeSpace,
-    _band_average,
     gamma_from_temperature,
     mode_count,
     mode_measure,
@@ -14,6 +13,7 @@ from muxrepeater.modes import (
     tau_of_k,
 )
 from muxrepeater.params import ModeSpaceParams, PhysicalConstants
+from muxrepeater.werner import _gauss_legendre
 
 RB87_MASS = 1.44316e-25
 # sqrt(m / (k_B T)) at 1 uK, unit-converted, 30-digit evaluation
@@ -88,29 +88,42 @@ class TestModeCount:
             pytest.approx(5497.23736506776, rel=1e-12)
 
 
+def band_mean(f, k_min, k_max):
+    """Mean of f(K) weighted by K over [k_min, k_max] with the 64-node rule,
+    mapped onto the band as the spectral ebit average maps it."""
+    x, w = _gauss_legendre(64)
+    half = (k_max - k_min) / 2.0
+    k = k_min + half * (1.0 + x)
+    return half * np.sum(w * f(k) * k) / ((k_max ** 2 - k_min ** 2) / 2.0)
+
+
 class TestWeightedAverage:
     def test_constant_is_exact(self):
         space = ModeSpace.default()
         for c in (1.0, math.pi, 1e-7):
-            assert _band_average(space, lambda k: np.full_like(k, c),
-                                 space.k_max) == \
-                pytest.approx(c, rel=1e-12)
+            assert band_mean(lambda k: np.full_like(k, c), space.k_min,
+                             space.k_max) == pytest.approx(c, rel=1e-12)
 
     def test_identity_matches_closed_form(self):
         space = ModeSpace.default()
-        assert _band_average(space, lambda k: k, space.k_max) == \
+        assert band_mean(lambda k: k, space.k_min, space.k_max) == \
             pytest.approx(WAVG_K_CLOSED, rel=1e-7)
 
     def test_gauss_legendre_exact_on_polynomials(self):
-        # the 64-node rule integrates K * K**d exactly for d <= 126; the
-        # band-weighted mean of K**d is 2 (b^(d+2) - a^(d+2)) / ((d+2)(b^2 - a^2))
+        # the 64-node rule integrates x**d over [-1, 1] exactly for d <= 127,
+        # so it integrates K * K**d exactly for d <= 126; the band-weighted
+        # mean of K**d is 2 (b^(d+2) - a^(d+2)) / ((d+2)(b^2 - a^2))
+        x, w = _gauss_legendre(64)
+        for d in range(128):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert np.sum(w * x ** d) == pytest.approx(exact, rel=1e-13,
+                                                       abs=1e-15)
         space = ModeSpace.default()
-        assert _band_average(space, lambda k: k, space.k_max) == \
+        assert band_mean(lambda k: k, space.k_min, space.k_max) == \
             pytest.approx(WAVG_K_CLOSED, rel=1e-13)
         a, b = space.k_min / space.k_max, 1.0
-        unit = dataclasses.replace(space, k_min=a, k_max=b)
         for d in (0, 1, 2, 7, 40, 125):
             closed = 2.0 * (b ** (d + 2) - a ** (d + 2)) / (
                 (d + 2) * (b * b - a * a))
-            assert _band_average(unit, lambda k, d=d: k ** d, unit.k_max) == \
+            assert band_mean(lambda k, d=d: k ** d, a, b) == \
                 pytest.approx(closed, rel=1e-13)

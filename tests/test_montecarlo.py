@@ -172,6 +172,13 @@ class TestChainTime:
                           self.bundle.constants, self.space,
                           McConfig(samples=10), waiting_count="link")
 
+    @pytest.mark.parametrize("arch", ["ahierarchical", "semihierarchical"])
+    def test_rejects_non_integer_node_count(self, arch):
+        wv = self.bundle.platform("WV-MUX-QM")
+        with pytest.raises(ValueError, match="node counts must be integers"):
+            mc_chain_time(arch, wv, 5.0, 550.0, self.bundle.constants,
+                          self.space, McConfig(samples=10))
+
     def test_vetted_bench_seeds_pass_held_check(self):
         # the benchmark's held-chain check at its mc_check point and seeds
         vetted = json.loads(MC_SEEDS.read_text())

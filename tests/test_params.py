@@ -183,6 +183,21 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match=f"^{key}: expected a finite number"):
             load_config(path)
 
+    @pytest.mark.parametrize("section, field_name, value", [
+        ("platforms", "modes", 0), ("mode_space", "k_min", -1.0),
+        ("mode_space", "k_max", 5.0)])
+    def test_range_error_names_renamed_key(self, section, field_name, value):
+        key, = [k for k, f in _config_keys(_SECTIONS[section]).items()
+                if f.name == field_name]
+        assert key != field_name
+        entry = {key: value}
+        if section == "platforms":
+            entry = [{"name": "x", "chi": 0.1, "eta_r": 0.5,
+                      "decoherence": "exponential", "tau_ms": 2.0, **entry}]
+        with pytest.raises(ConfigError) as info:
+            parse_config({section: entry})
+        assert str(info.value).startswith(f"{key}: ")
+
     @pytest.mark.parametrize("value", [5, "B", [1]])
     @pytest.mark.parametrize("section", ["constants", "mode_space", "noise",
                                          "spdc"])

@@ -127,6 +127,20 @@ class TestOptimizeNodes:
         with pytest.raises(ValueError):
             optimize_nodes(550.0, wv, "ahierarchical", bundle.constants,
                            space, n_range=range(1, 5))
+        with pytest.raises(ValueError, match="node counts must be integers"):
+            optimize_nodes(300.0, wv, "ahierarchical", bundle.constants,
+                           space, n_range=[2.7, 3.9])
+
+    def test_waiting_count_is_explicit(self):
+        bundle, space = bundle_and_space()
+        wv = bundle.platform("WV-MUX-QM")
+        args = (550.0, wv, "semihierarchical", bundle.constants, space)
+        n_star, record = optimize_nodes(*args, waiting_count="nodes")
+        assert record == chain_time("semihierarchical", wv, n_star, 550.0,
+                                    bundle.constants, space,
+                                    waiting_count="nodes")
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            optimize_nodes(*args, averages={})
 
     def test_rejects_infinite_distance(self):
         bundle, space = bundle_and_space()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from muxrepeater import modes
+from muxrepeater import werner
 from muxrepeater.modes import ModeSpace
 from muxrepeater.werner import (
     average_ef,
@@ -147,7 +147,23 @@ class TestAverageEbitContent:
         space = ModeSpace.default()
         times = (750.0, 3000.0, 6000.0)
         got = [average_ef(space, t_us, 0.05) for t_us in times]
-        monkeypatch.setattr(modes, "_GL_ORDER", 1024)
+        monkeypatch.setattr(werner, "_GL_ORDER", 1024)
         for value, t_us in zip(got, times):
             assert value == pytest.approx(average_ef(space, t_us, 0.05),
                                           rel=1e-9)
+
+    def test_blocks_follow_the_patched_order(self, monkeypatch):
+        # the order and the block width come from one module global, so
+        # a higher order runs fewer rows per block, not larger blocks
+        sizes = []
+        ef_of_mode = werner.ef_of_mode
+
+        def counting(k, *args):
+            sizes.append(np.size(k))
+            return ef_of_mode(k, *args)
+
+        monkeypatch.setattr(werner, "ef_of_mode", counting)
+        monkeypatch.setattr(werner, "_GL_ORDER", 1024)
+        werner._average_ef(ModeSpace.default(), np.linspace(0.0, 6000.0, 10),
+                           0.05)
+        assert sizes == [werner._QUAD_BLOCK] * 2 + [2 * 1024]
