@@ -50,13 +50,21 @@ def p_enc_stage(eta_r: float, eta_det: float) -> tuple[float, float]:
     return p_e, p_e / 4.0
 
 
+def _check_node_counts(n_nodes) -> None:
+    """Reject a node count, or array of them, that is not an integer >= 2."""
+    n_nodes = np.asarray(n_nodes)
+    if not np.issubdtype(n_nodes.dtype, np.integer):
+        raise ValueError("node counts must be integers")
+    if np.any(n_nodes < 2):
+        raise ValueError("a chain needs at least 2 nodes")
+
+
 def p_eng_chain(p_g, n_nodes):
     """Probability that all N-1 links herald simultaneously: p_g**(N-1).
 
     Accepts scalars or matching arrays of p_g and N.
     """
-    if np.any(np.asarray(n_nodes) < 2):
-        raise ValueError("a chain needs at least 2 nodes")
+    _check_node_counts(n_nodes)
     return p_g ** (n_nodes - 1)
 
 
@@ -68,8 +76,7 @@ def p_enc_chain(p_f: float, p_e: float, eta_x: float, n_nodes):
     N = 2 has no swap stations and reduces to eta_x**2.  ``n_nodes`` may be
     an integer array.
     """
-    if np.any(np.asarray(n_nodes) < 2):
-        raise ValueError("a chain needs at least 2 nodes")
+    _check_node_counts(n_nodes)
     first = (n_nodes - 1) // 2
     later = (n_nodes - 2) // 2
     return p_f ** first * p_e ** later * eta_x ** n_nodes
@@ -182,10 +189,7 @@ def _chain_setup(platform: PlatformParams, n_nodes, l_km,
 
     ``n_nodes`` and ``l_km`` may be arrays; the results take their shape.
     """
-    if not np.issubdtype(np.asarray(n_nodes).dtype, np.integer):
-        raise ValueError("node counts must be integers")
-    if np.any(np.asarray(n_nodes) < 2):
-        raise ValueError("a chain needs at least 2 nodes")
+    _check_node_counts(n_nodes)
     if not np.all((l_km > 0) & np.isfinite(l_km)):
         raise ValueError("total distance must be strictly positive and finite")
     l0_km = l_km / (n_nodes - 1)
@@ -316,8 +320,8 @@ def range_limits(platform: PlatformParams, space: ModeSpace,
     (read-out noise can push chi_eff there) no distance is entangled and
     both limits are 0.
     """
-    if n_nodes is not None and n_nodes < 2:
-        raise ValueError("a chain needs at least 2 nodes")
+    if n_nodes is not None:
+        _check_node_counts(n_nodes)
     constants = constants or PhysicalConstants()
     chi = platform.chi if chi is None else chi
     if not chi > 0.0:

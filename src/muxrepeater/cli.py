@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -147,6 +148,14 @@ def _record_row(record: chain.ChainPlan) -> tuple:
     return tuple(getattr(record, field) for _, field in _RECORD_COLUMNS)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _z_score(analytic: float, estimate: montecarlo.McEstimate) -> float:
     """|analytic - mean| in standard errors; 0 or inf at zero error."""
     diff = abs(analytic - estimate.mean)
@@ -228,21 +237,29 @@ def _cmd_spdc(args, bundle, space):
 
 
 def _cmd_mc_validate(args, bundle, space):
+    # each cell owns its generator and numpy drops the GIL while drawing, so
+    # threads change no byte; pool.map keeps row order and the first error
+    from concurrent.futures import ThreadPoolExecutor
+
     header = ("check", "n_nodes", "p_g", "analytic", "mc_mean",
               "mc_std_error", "z_score", "passed")
-    rows = []
-    cell = 0
+    cells = []   # (n_nodes, p_g, racers, config); cell i uses seed + i
     for n_nodes in _MC_GRID_NODES:
         for p_g in _MC_GRID_PROBS:
-            cfg = montecarlo.McConfig(samples=args.samples,
-                                      seed=args.seed + cell)
             racers = n_nodes - 1 if args.waiting_count == "links" else n_nodes
-            estimate = montecarlo.mc_expected_max_rounds(racers, p_g, cfg)
-            analytic = chain.expected_max_rounds(racers, p_g)
-            z = _z_score(analytic, estimate)
-            rows.append(("waiting_rounds", n_nodes, p_g, analytic,
-                         estimate.mean, estimate.std_error, z, z <= 3.0))
-            cell += 1
+            cfg = montecarlo.McConfig(samples=args.samples,
+                                      seed=args.seed + len(cells))
+            cells.append((n_nodes, p_g, racers, cfg))
+    with ThreadPoolExecutor(min(len(cells), _usable_cpus())) as pool:
+        estimates = list(pool.map(
+            lambda c: montecarlo.mc_expected_max_rounds(c[2], c[1], c[3]),
+            cells))
+    rows = []
+    for (n_nodes, p_g, racers, _), estimate in zip(cells, estimates):
+        analytic = chain.expected_max_rounds(racers, p_g)
+        z = _z_score(analytic, estimate)
+        rows.append(("waiting_rounds", n_nodes, p_g, analytic,
+                     estimate.mean, estimate.std_error, z, z <= 3.0))
     if args.chain_samples > 0:
         platform = bundle.platform("WV-MUX-QM")
         plan = chain.chain_time("ahierarchical", platform, 5, 550.0,

@@ -11,7 +11,11 @@ The slowest-racer sampler draws, per racer, the raw variate numpy's geometric
 consumes (an exponential below p = 1/3, a uniform from 1/3 up) and maps only
 each trial's largest through numpy's nondecreasing transform, so its maxima
 equal ``geometric(...).max(axis=1)`` bit for bit; ``TestGeometricRowMax``
-pins that coupling on both sides of the branch point.
+pins that coupling on both sides of the branch point.  The raw variates are
+drawn in consecutive blocks of whole rows into one reused buffer of at most
+``_DRAW_BLOCK`` values; the generator fills a block row-major exactly as it
+fills one (trials, racers) array, so the maxima and the generator state after
+the draw do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -33,6 +37,11 @@ from .params import NoiseParams, PhysicalConstants, PlatformParams
 
 _TRIAL_CHUNK = 1 << 16
 _PASS_BUDGET = 1 << 22
+# raw variates per draw block (1 MB of float64), whole rows at a time
+_DRAW_BLOCK = 1 << 17
+# up to this many racers a column-wise maximum is at least as fast as
+# max(axis=1); past it the per-column call overhead dominates
+_COLUMN_MAX_UP_TO = 48
 _FLAG_FRACTION = 1e-3
 # numpy's random_geometric inverts an exponential below this p, searches above
 _GEOMETRIC_SEARCH_FROM = 1.0 / 3.0
@@ -116,15 +125,29 @@ def _geometric_row_max(rng, p: float, shape: tuple[int, int]) -> np.ndarray:
     the same order, so the generator ends in the same state.  numpy maps each
     through a nondecreasing function, so only the row maxima are mapped.
     """
-    if p < _GEOMETRIC_SEARCH_FROM:
-        e = rng.standard_exponential(shape).max(axis=1)
-        # at tiny p, z passes INT64_MAX (inf at subnormal p); numpy saturates
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = np.ceil(-e / math.log1p(-p))
-            return np.where(z >= _INT64_SATURATION, np.iinfo(np.int64).max,
-                            z.astype(np.int64))
-    u = rng.random(shape).max(axis=1)
-    return np.searchsorted(_geometric_search_sums(p), u) + 1
+    rows, racers = shape
+    search = p >= _GEOMETRIC_SEARCH_FROM
+    draw = rng.random if search else rng.standard_exponential
+    step = max(1, _DRAW_BLOCK // racers)
+    block = np.empty((min(step, rows), racers))
+    mx = np.empty(rows)
+    for start in range(0, rows, step):
+        x = block[:min(step, rows - start)]
+        draw(out=x)
+        out = mx[start:start + len(x)]
+        if racers > _COLUMN_MAX_UP_TO:
+            np.max(x, axis=1, out=out)
+        else:
+            np.copyto(out, x[:, 0])
+            for j in range(1, racers):
+                np.maximum(out, x[:, j], out=out)
+    if search:
+        return np.searchsorted(_geometric_search_sums(p), mx) + 1
+    # at tiny p, z passes INT64_MAX (inf at subnormal p); numpy saturates
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.ceil(-mx / math.log1p(-p))
+        return np.where(z >= _INT64_SATURATION, np.iinfo(np.int64).max,
+                        z.astype(np.int64))
 
 
 def _slowest_rounds(p: float, links: int, cfg: McConfig,

@@ -118,6 +118,33 @@ class TestChainProbabilities:
         for n in range(2, 30):
             assert p_enc_chain(1.0, 1.0, 1.0, n) == 1.0
 
+    @pytest.mark.parametrize("n_nodes", [2.5, 4.5, 5.0, np.float64(5.0),
+                                         np.array([3.0, 4.0])],
+                             ids=["2.5", "4.5", "float", "numpy-float",
+                                  "float-array"])
+    @pytest.mark.parametrize("helper", ["p_eng_chain", "p_enc_chain",
+                                        "range_limits"])
+    def test_exported_helpers_reject_non_integer_node_count(self, helper,
+                                                            n_nodes):
+        bundle, space = bundle_and_space()
+        wv = bundle.platform("WV-MUX-QM")
+        call = {
+            "p_eng_chain": lambda: p_eng_chain(0.5, n_nodes),
+            "p_enc_chain": lambda: p_enc_chain(0.1, 0.2, 0.9, n_nodes),
+            "range_limits": lambda: range_limits(wv, space, 10.0, n_nodes,
+                                                 bundle.constants),
+        }[helper]
+        with pytest.raises(ValueError, match="node counts must be integers"):
+            call()
+
+    @pytest.mark.parametrize("n_nodes", [1, np.array([2, 1])],
+                             ids=["scalar", "array"])
+    def test_chain_probabilities_reject_chains_below_two_nodes(self, n_nodes):
+        with pytest.raises(ValueError, match="a chain needs at least 2 nodes"):
+            p_eng_chain(0.5, n_nodes)
+        with pytest.raises(ValueError, match="a chain needs at least 2 nodes"):
+            p_enc_chain(0.1, 0.2, 0.9, n_nodes)
+
 
 class TestWaitingFactor:
     def test_single_link_is_geometric_mean(self):

@@ -5,11 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from muxrepeater import montecarlo
 from muxrepeater.chain import expected_max_rounds, spdc_time
 from muxrepeater.cli import run
 from muxrepeater.modes import ModeSpace
@@ -344,6 +347,63 @@ class TestDeterminism:
         default_out = capsys.readouterr().out
         assert run(["pg-curve", "--grid", "10:100:5", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out == default_out
+
+
+class TestMcValidatePool:
+    """The waiting-round cells run on a thread pool, one per usable CPU."""
+
+    ARGV = ["mc-validate", "--samples", "70000", "--chain-samples", "2000",
+            "--seed", "5"]
+
+    def test_thread_count_changes_no_byte(self, monkeypatch, capsys):
+        before = threading.active_count()
+        outputs = []
+        for cpus in (1, 4):
+            monkeypatch.setattr("muxrepeater.cli._usable_cpus", lambda: cpus)
+            assert run(self.ARGV) == 0
+            outputs.append(capsys.readouterr())
+            assert threading.active_count() == before
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.count("\n") == 1 + 16 + 1
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 3), (64, 16)])
+    def test_workers_bounded_by_cells_and_cpus(self, monkeypatch, capsys,
+                                               cpus, workers):
+        import concurrent.futures
+        seen = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                seen.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr("muxrepeater.cli._usable_cpus", lambda: cpus)
+        assert run(["mc-validate", "--samples", "100",
+                    "--chain-samples", "0"]) == 0
+        assert seen == [workers]
+
+    def test_first_failing_cell_in_row_order_exits_4(self, monkeypatch,
+                                                     capsys):
+        real = montecarlo.mc_expected_max_rounds
+
+        def failing(n_links, p_g, cfg):
+            cell = cfg.seed - 42
+            if cell == 5:
+                time.sleep(0.05)   # a later failing cell finishes first
+                raise montecarlo.SimulationBudgetError("cell 5 over budget")
+            if cell == 9:
+                raise montecarlo.SimulationBudgetError("cell 9 over budget")
+            return real(n_links, p_g, cfg)
+
+        monkeypatch.setattr(montecarlo, "mc_expected_max_rounds", failing)
+        monkeypatch.setattr("muxrepeater.cli._usable_cpus", lambda: 4)
+        before = threading.active_count()
+        assert run(["mc-validate", "--samples", "200", "--seed", "42"]) == 4
+        assert threading.active_count() == before
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: cell 5 over budget\n"
 
 
 class TestModuleEntryPoints:

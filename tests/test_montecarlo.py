@@ -15,6 +15,8 @@ from muxrepeater.chain import (
 )
 from muxrepeater.modes import ModeSpace
 from muxrepeater.montecarlo import (
+    _COLUMN_MAX_UP_TO,
+    _DRAW_BLOCK,
     McConfig,
     SimulationBudgetError,
     _earlier_pass_rounds,
@@ -252,6 +254,27 @@ class TestGeometricRowMax:
         assert maxima.dtype == direct.dtype
         assert np.array_equal(maxima, direct)
         assert rng.random() == direct_rng.random()
+
+
+class TestDrawBlocks:
+    """Row maxima drawn in blocks of whole rows equal one (rows, m) draw.
+
+    The rows span three full draw blocks and a ragged fourth, on both sides
+    of p = 1/3 and of the switch from column-wise maxima to max(axis=1).
+    """
+
+    @pytest.mark.parametrize("m", [1, 12, 13, _COLUMN_MAX_UP_TO,
+                                   _COLUMN_MAX_UP_TO + 1])
+    @pytest.mark.parametrize("p", [0.05, 0.5])
+    def test_blocks_equal_one_draw(self, p, m):
+        rows = 3 * (_DRAW_BLOCK // m) + 7
+        seed = 51 + m
+        direct_rng = np.random.default_rng(seed)
+        direct = direct_rng.geometric(p, size=(rows, m)).max(axis=1)
+        rng = np.random.default_rng(seed)
+        maxima = _geometric_row_max(rng, p, (rows, m))
+        assert np.array_equal(maxima, direct)
+        assert rng.bit_generator.state == direct_rng.bit_generator.state
 
 
 class TestSlowPassDraw:
