@@ -159,7 +159,9 @@ def mean_entanglement(platform: PlatformParams, space: ModeSpace, t_us,
 class ChainPlan:
     """One evaluated chain configuration (times in us, ``*_s`` fields in s).
 
-    The per-second fields hold rate = mean_ef/t_tot_s and Q = rate/N.  The
+    The per-second fields hold rate = mean_ef/t_tot_s and Q = rate/N, and
+    t_tot_us divides the time per attempt by ``p_success``: the chance that
+    a clock period (blind chain) or a connection pass (held) delivers.  The
     array core :func:`_chain_block` fills the per-N fields with one entry
     per node count; :func:`chain_time` returns plain numbers.
     """
@@ -174,6 +176,7 @@ class ChainPlan:
     p_g: float
     p_eng: float           # all links herald in one period
     p_enc: float           # all connections succeed
+    p_success: float       # one attempt delivers
     storage_us: float      # memory time entering the ebit-content average
     t_tot_us: float        # mean time per successful distribution
     mean_ef: float         # delivered ebits per distribution
@@ -181,25 +184,6 @@ class ChainPlan:
     rate_ebit_per_s: float
     q_ebit_per_s_per_node: float   # the figure of merit Q = R/N
     t_per_ebit_s: float
-
-
-def _chain_setup(platform: PlatformParams, n_nodes, l_km,
-                 constants: PhysicalConstants):
-    """L0, clock period, link budget, P_ENC and (eta_d*eta_x)**2 of a chain.
-
-    ``n_nodes`` and ``l_km`` may be arrays; the results take their shape.
-    """
-    _check_node_counts(n_nodes)
-    if not np.all((l_km > 0) & np.isfinite(l_km)):
-        raise ValueError("total distance must be strictly positive and finite")
-    l0_km = l_km / (n_nodes - 1)
-    t_rep = l0_km / constants.c
-    budget = link_physics.link_budget(platform, l0_km, constants)
-    eta_det = platform.enc_detector_efficiency
-    p_e, p_f = p_enc_stage(platform.eta_r, eta_det)
-    p_enc = p_enc_chain(p_f, p_e, platform.eta_x, n_nodes)
-    eta_final = (eta_det * platform.eta_x) ** 2
-    return l0_km, t_rep, budget, p_enc, eta_final
 
 
 def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
@@ -222,21 +206,31 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
         raise ValueError(f"architecture must be one of {ARCHITECTURES}")
     if waiting_count not in WAITING_COUNTS:
         raise ValueError(f"waiting_count must be one of {WAITING_COUNTS}")
-    l0_km, t_rep, budget, p_enc, eta_final = _chain_setup(
-        platform, n, l_km, constants)
+    _check_node_counts(n)
+    if not np.all((l_km > 0) & np.isfinite(l_km)):
+        raise ValueError("total distance must be strictly positive and finite")
+    l0_km = l_km / (n - 1)
+    t_rep = l0_km / constants.c
+    budget = link_physics.link_budget(platform, l0_km, constants)
+    eta_det = platform.enc_detector_efficiency
+    p_e, p_f = p_enc_stage(platform.eta_r, eta_det)
+    p_enc = p_enc_chain(p_f, p_e, platform.eta_x, n)
+    eta_final = (eta_det * platform.eta_x) ** 2
     p_eng = p_eng_chain(budget.p_g, n)
     with np.errstate(divide="ignore", over="ignore"):
         if architecture == "ahierarchical":
-            t_tot = t_rep / (p_eng * p_enc * eta_final)
+            p_success = p_eng * p_enc * eta_final
+            t_tot = t_rep / p_success
             storage = t_rep
         else:
+            p_success = p_enc * eta_final
             waits = np.full(t_rep.shape, np.inf)
             heralds = budget.p_g > 0.0
             racers = np.broadcast_to(n - 1 if waiting_count == "links" else n,
                                      t_rep.shape)
             waits[heralds] = _expected_max_rounds(racers[heralds],
                                                   budget.p_g[heralds])
-            t_tot = (t_rep * waits + l_km / constants.c) / (p_enc * eta_final)
+            t_tot = (t_rep * waits + l_km / constants.c) / p_success
             storage = (l_km + l0_km) / constants.c
         averages = {} if averages is None else averages
         key = (architecture, (noise or NoiseParams()).effective_chi(platform),
@@ -249,9 +243,10 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
         return ChainPlan(
             platform=platform.name, architecture=architecture, n_nodes=n,
             l_km=l_km, l0_km=l0_km, t_rep_us=t_rep, p1=budget.p1,
-            p_g=budget.p_g, p_eng=p_eng, p_enc=p_enc, storage_us=storage,
-            t_tot_us=t_tot, mean_ef=mean_ef, t_tot_s=t_tot_s,
-            rate_ebit_per_s=rate_s, q_ebit_per_s_per_node=rate_s / n,
+            p_g=budget.p_g, p_eng=p_eng, p_enc=p_enc, p_success=p_success,
+            storage_us=storage, t_tot_us=t_tot, mean_ef=mean_ef,
+            t_tot_s=t_tot_s, rate_ebit_per_s=rate_s,
+            q_ebit_per_s_per_node=rate_s / n,
             t_per_ebit_s=1.0 / rate_s)
 
 

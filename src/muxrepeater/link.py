@@ -77,7 +77,7 @@ def visibility_at(t_us, tau_us, chi_eff: float, decoherence: str = "gaussian"):
     t/tau for exponential decay.  Accepts scalars or numpy arrays for
     ``t_us`` and ``tau_us``; strictly decreasing in t until it underflows.
     """
-    if chi_eff <= 0:
+    if not chi_eff > 0:   # also rejects nan
         raise ValueError("chi_eff must be strictly positive")
     if np.any(np.asarray(t_us) < 0):
         raise ValueError("storage time must be non-negative")

@@ -1,11 +1,15 @@
 """Stochastic round-level simulation of the chain protocol.
 
 Serves as an independent check on the analytic waiting-time and total-time
-formulas.  Draws come from numpy's PCG64 generator seeded through
-``default_rng(seed)``, in chunks sized from the inputs alone, and integer
-round counts sum exactly, so a given seed reproduces the same estimates bit
-for bit on every run.  The held-chain sampler draws raw per-racer rounds only
-for a trial's final pass; :func:`_earlier_pass_rounds` draws the earlier ones.
+formulas.  :func:`mc_chain_time` takes every deterministic chain quantity
+(clock period, link and connection probabilities, first-try storage, the
+blind ebit content) from the :func:`muxrepeater.chain.chain_time` record, so
+the cross-check differs from the model only by what it samples.  Draws come
+from numpy's PCG64 generator seeded through ``default_rng(seed)``, in chunks
+sized from the inputs alone, and integer round counts sum exactly, so a
+given seed reproduces the same estimates bit for bit on every run.  The
+held-chain sampler draws raw per-racer rounds only for a trial's final pass;
+:func:`_earlier_pass_rounds` draws the earlier ones.
 
 The slowest-racer sampler draws, per racer, the raw variate numpy's geometric
 consumes (an exponential below p = 1/3, a uniform from 1/3 up) and maps only
@@ -25,13 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (
-    WAITING_COUNTS,
-    _chain_setup,
-    expected_max_rounds,
-    mean_entanglement,
-    p_eng_chain,
-)
+from .chain import (ChainPlan, chain_time, expected_max_rounds,
+                    mean_entanglement)
 from .modes import ModeSpace
 from .params import NoiseParams, PhysicalConstants, PlatformParams
 
@@ -55,17 +54,19 @@ class SimulationBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling budget for one Monte Carlo estimate."""
+    """Sampling budget for one Monte Carlo estimate; integers, not bools."""
 
     samples: int
     seed: int = 0
     max_rounds: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+        for name, least in (("samples", 1), ("seed", 0), ("max_rounds", 1)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))
+                    or value < least):
+                raise ValueError(f"{name} must be an integer >= {least}")
 
 
 @dataclass(frozen=True)
@@ -188,26 +189,25 @@ def mc_expected_max_rounds(n_links: int, p_g: float, cfg: McConfig) -> McEstimat
     return _slowest_rounds(p_g, n_links, cfg, "slowest-link waiting rounds")
 
 
-def _mc_ahierarchical(platform, n_nodes, l_km, constants, space, noise, cfg):
-    l0_km, t_rep, budget, p_enc, eta_final = _chain_setup(
-        platform, n_nodes, l_km, constants)
+def _mc_ahierarchical(plan: ChainPlan, cfg: McConfig) -> ChainMcResult:
     # Blind operation: every link, every connection, and the final detections
     # are independent per-period Bernoulli events, so the period count to the
     # first joint success is exactly geometric in their product.
-    p_round = p_eng_chain(budget.p_g, n_nodes) * p_enc * eta_final
-    if p_round <= 0.0:
+    if plan.p_success <= 0.0:
         raise SimulationBudgetError(
             "per-period success probability underflowed to zero")
-    if 1.0 / p_round > cfg.max_rounds:
+    if 1.0 / plan.p_success > cfg.max_rounds:
         raise SimulationBudgetError(
             "expected rounds per sample exceed max_rounds")
-    rounds_est = _slowest_rounds(p_round, 1, cfg, "blind-protocol rounds")
-    ef = mean_entanglement(platform, space, t_rep, noise)
+    rounds_est = _slowest_rounds(plan.p_success, 1, cfg,
+                                 "blind-protocol rounds")
+    t_rep = plan.t_rep_us
     return ChainMcResult(
         t_tot_us=McEstimate(mean=rounds_est.mean * t_rep,
                             std_error=rounds_est.std_error * t_rep,
                             samples_used=cfg.samples),
-        mean_ef=McEstimate(mean=ef, std_error=0.0, samples_used=cfg.samples))
+        mean_ef=McEstimate(mean=plan.mean_ef, std_error=0.0,
+                           samples_used=cfg.samples))
 
 
 def _earlier_pass_rounds(rng, passes, p: float, racers: int) -> np.ndarray:
@@ -228,22 +228,17 @@ def _earlier_pass_rounds(rng, passes, p: float, racers: int) -> np.ndarray:
     return passes + np.diff(ends, prepend=0)
 
 
-def _mc_semihierarchical(platform, n_nodes, l_km, constants, space, noise, cfg,
-                         racers):
-    l0_km, t_rep, budget, p_enc, eta_final = _chain_setup(
-        platform, n_nodes, l_km, constants)
-    q = p_enc * eta_final
-    if budget.p_g <= 0.0 or q <= 0.0:
+def _mc_semihierarchical(plan: ChainPlan, racers: int, platform, space,
+                         noise, c: float, cfg: McConfig) -> ChainMcResult:
+    p_g, q, t_rep = plan.p_g, plan.p_success, plan.t_rep_us
+    if p_g <= 0.0 or q <= 0.0:
         raise SimulationBudgetError(
             "per-attempt success probability underflowed to zero")
-    if expected_max_rounds(racers, budget.p_g) / q > cfg.max_rounds:
+    if expected_max_rounds(racers, p_g) / q > cfg.max_rounds:
         raise SimulationBudgetError(
             "expected rounds per sample exceed max_rounds")
     rng = np.random.default_rng(cfg.seed)
-    overhead = l_km / constants.c
-    # a memory waits l0/c for its own heralding before the hold begins, so
-    # first-try storage matches the analytic (L + L0)/c assumption
-    storage0 = (l_km + l0_km) / constants.c
+    overhead = plan.l_km / c
     # derived from q alone, the trial chunk reproducibly bounds its expected
     # pass count, and so its slow-pass uniforms
     trial_chunk = max(1, min(_TRIAL_CHUNK, int(_PASS_BUDGET * q)))
@@ -256,14 +251,17 @@ def _mc_semihierarchical(platform, n_nodes, l_km, constants, space, noise, cfg,
         # stage then either succeeds or the whole pass restarts, so the
         # number of passes per trial is geometric in q.
         attempts = rng.geometric(q, size=b)
-        earlier = _earlier_pass_rounds(rng, attempts - 1, budget.p_g, racers)
-        last = rng.geometric(budget.p_g, size=(b, racers))
+        earlier = _earlier_pass_rounds(rng, attempts - 1, p_g, racers)
+        last = rng.geometric(p_g, size=(b, racers))
         last_max = last.max(axis=1)
         rounds = earlier + last_max
         flagged += int(np.count_nonzero(rounds > cfg.max_rounds))
         t_trial = rounds.astype(float) * t_rep + attempts.astype(float) * overhead
         wait, index = np.unique(last_max[:, None] - last, return_inverse=True)
-        ef = mean_entanglement(platform, space, wait * t_rep + storage0, noise)
+        # a memory waits l0/c for its own heralding before the hold begins,
+        # so a first-try hold lasts the record's (L + L0)/c storage
+        ef = mean_entanglement(platform, space, wait * t_rep + plan.storage_us,
+                               noise)
         ef_trial = ef[index].reshape(last.shape).mean(axis=1)
         sums += [np.sum(t_trial), np.sum(t_trial * t_trial), np.sum(ef_trial),
                  np.sum(ef_trial * ef_trial)]
@@ -280,19 +278,18 @@ def mc_chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
                   waiting_count: str = "links") -> ChainMcResult:
     """Simulate full distributions and estimate T_tot and the ebit content.
 
-    The blind architecture stores for exactly one clock period, so its ebit
-    content is deterministic (zero standard error).  The held architecture
-    races N-1 or N heralders (``waiting_count``, as in ``chain_time``) and
-    takes each trial's ebit content at the racers' realized storage times in
-    the final, successful pass, averaged over racers.
+    The samplers read the :func:`muxrepeater.chain.chain_time` record,
+    which also checks the arguments.  The blind architecture stores for
+    exactly one clock period, so its ebit content is the record's (zero
+    standard error).  The held architecture races N-1 or N heralders
+    (``waiting_count``, as in ``chain_time``) and takes each trial's ebit
+    content at the racers' realized storage times in the final, successful
+    pass, averaged over racers.
     """
-    if waiting_count not in WAITING_COUNTS:
-        raise ValueError(f"waiting_count must be one of {WAITING_COUNTS}")
+    plan = chain_time(architecture, platform, n_nodes, l_km, constants, space,
+                      noise, waiting_count)
     if architecture == "ahierarchical":
-        return _mc_ahierarchical(platform, n_nodes, l_km, constants, space,
-                                 noise, cfg)
-    if architecture == "semihierarchical":
-        racers = n_nodes - 1 if waiting_count == "links" else n_nodes
-        return _mc_semihierarchical(platform, n_nodes, l_km, constants, space,
-                                    noise, cfg, racers)
-    raise ValueError(f"unknown architecture {architecture!r}")
+        return _mc_ahierarchical(plan, cfg)
+    racers = n_nodes - 1 if waiting_count == "links" else n_nodes
+    return _mc_semihierarchical(plan, racers, platform, space, noise,
+                                constants.c, cfg)

@@ -106,6 +106,8 @@ def _average_ef(space: ModeSpace, t_us, chi_eff: float) -> np.ndarray:
     K_c(t) = gamma*sqrt(ln(1/chi_eff))/t, so k_hi = min(K_max, K_c(t)) and
     the rule never straddles the kink; a k_hi at or below k_min gives zero.
     """
+    if not chi_eff > 0:   # also rejects nan
+        raise ValueError("chi_eff must be strictly positive")
     t = np.asarray(t_us, dtype=float)
     k_cut = space.gamma * math.sqrt(max(0.0, -math.log(chi_eff)))
     # at t = 0 the whole band is live, whatever K_c

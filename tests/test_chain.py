@@ -177,12 +177,10 @@ class TestWaitingFactor:
                        bundle.constants, space, waiting_count=count)
             for count in ("links", "nodes"))
         assert by_nodes.t_tot_us > by_links.t_tot_us
-        eta_final = (temporal.eta_s * temporal.eta_x) ** 2
         for plan, racers in ((by_links, 2), (by_nodes, 3)):
             waits = expected_max_rounds(racers, plan.p_g)
             eng_time = plan.t_rep_us * waits + 200.0 / bundle.constants.c
-            assert plan.t_tot_us == pytest.approx(
-                eng_time / (plan.p_enc * eta_final), rel=1e-12)
+            assert plan.t_tot_us == eng_time / plan.p_success
 
     def test_unknown_waiting_count_rejected(self):
         bundle, space = bundle_and_space()
@@ -363,6 +361,32 @@ class TestChainTime:
         assert math.isinf(plan.t_tot_us)
         assert plan.rate_ebit_per_s == 0.0
         assert plan.q_ebit_per_s_per_node == 0.0
+
+    @given(st.sampled_from(["WV-MUX-QM", "WV-parallel", "Temporal",
+                            "Lattice-SM"]),
+           st.sampled_from(["ahierarchical", "semihierarchical"]),
+           st.sampled_from(["links", "nodes"]), st.integers(2, 40),
+           st.floats(1.0, 2000.0))
+    @settings(max_examples=60, deadline=None)
+    def test_total_time_from_success_probability(self, name, arch, count, n,
+                                                 l_km):
+        # the record's per-attempt success probability is the one that sets
+        # T_tot, with the same operands in the same order
+        bundle, space = bundle_and_space()
+        platform = bundle.platform(name)
+        plan = chain_time(arch, platform, n, l_km, bundle.constants, space,
+                          waiting_count=count)
+        eta_final = (platform.enc_detector_efficiency * platform.eta_x) ** 2
+        assert plan.p_success > 0.0
+        if arch == "ahierarchical":
+            assert plan.p_success == plan.p_eng * plan.p_enc * eta_final
+            assert plan.t_tot_us == plan.t_rep_us / plan.p_success
+        else:
+            assert plan.p_success == plan.p_enc * eta_final
+            racers = n - 1 if count == "links" else n
+            waits = expected_max_rounds(racers, plan.p_g)
+            eng_time = plan.t_rep_us * waits + l_km / bundle.constants.c
+            assert plan.t_tot_us == eng_time / plan.p_success
 
     def test_rejects_bad_arguments(self):
         bundle, space = bundle_and_space()

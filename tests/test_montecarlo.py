@@ -7,12 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from muxrepeater.chain import (
-    _chain_setup,
-    chain_time,
-    expected_max_rounds,
-    p_eng_chain,
-)
+from muxrepeater.chain import chain_time, expected_max_rounds
 from muxrepeater.modes import ModeSpace
 from muxrepeater.montecarlo import (
     _COLUMN_MAX_UP_TO,
@@ -31,6 +26,27 @@ MC_SEEDS = Path(__file__).resolve().parents[1] / "bench" / "mc_seeds.json"
 
 def _within(estimate, target, sigmas=3.0):
     return abs(estimate.mean - target) <= sigmas * estimate.std_error
+
+
+class TestMcConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 10.5), ("samples", True), ("samples", 0),
+        ("samples", "10"), ("seed", 1.5), ("seed", -1), ("seed", False),
+        ("seed", np.float64(3.0)), ("max_rounds", 0), ("max_rounds", 2.0),
+        ("max_rounds", None)])
+    def test_rejects_unusable_values(self, field, value):
+        kwargs = {"samples": 10, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            McConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"samples": 1, "seed": 0, "max_rounds": 1},
+        {"samples": np.int64(10), "seed": np.uint32(7)},
+        {"samples": 10, "max_rounds": 10 ** 19}])
+    def test_accepts_integers(self, kwargs):
+        cfg = McConfig(**kwargs)
+        # every racer heralds at once, within any max_rounds
+        assert mc_expected_max_rounds(2, 1.0, cfg).mean == 1.0
 
 
 class TestExpectedMaxRounds:
@@ -105,7 +121,7 @@ class TestChainTime:
                                self.bundle.constants, self.space,
                                McConfig(samples=20_000, seed=11))
         assert _within(result.t_tot_us, plan.t_tot_us)
-        assert result.mean_ef.mean == pytest.approx(plan.mean_ef, rel=1e-12)
+        assert result.mean_ef.mean == plan.mean_ef
         assert result.mean_ef.std_error == 0.0
 
     def test_held_matches_analytic(self):
@@ -174,6 +190,12 @@ class TestChainTime:
                           self.bundle.constants, self.space,
                           McConfig(samples=10), waiting_count="link")
 
+    def test_unknown_architecture_rejected(self):
+        wv = self.bundle.platform("WV-MUX-QM")
+        with pytest.raises(ValueError, match="architecture must be one of"):
+            mc_chain_time("blind", wv, 5, 550.0, self.bundle.constants,
+                          self.space, McConfig(samples=10))
+
     @pytest.mark.parametrize("arch", ["ahierarchical", "semihierarchical"])
     def test_rejects_non_integer_node_count(self, arch):
         wv = self.bundle.platform("WV-MUX-QM")
@@ -223,14 +245,15 @@ class TestDrawStream:
     def test_blind_chain_matches_direct_draw(self):
         bundle = default_bundle()
         wv = bundle.platform("WV-MUX-QM")
-        _, t_rep, budget, p_enc, eta_final = _chain_setup(
-            wv, 5, 550.0, bundle.constants)
-        p_round = p_eng_chain(budget.p_g, 5) * p_enc * eta_final
+        space = ModeSpace.default()
+        plan = chain_time("ahierarchical", wv, 5, 550.0, bundle.constants,
+                          space)
         result = mc_chain_time("ahierarchical", wv, 5, 550.0,
-                               bundle.constants, ModeSpace.default(),
+                               bundle.constants, space,
                                McConfig(samples=70_000, seed=25))
-        direct = np.random.default_rng(25).geometric(p_round, size=70_000)
-        assert result.t_tot_us.mean == t_rep * direct.mean()
+        direct = np.random.default_rng(25).geometric(plan.p_success,
+                                                     size=70_000)
+        assert result.t_tot_us.mean == plan.t_rep_us * direct.mean()
 
 
 class TestGeometricRowMax:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from muxrepeater import werner
+from muxrepeater.link import visibility_at
 from muxrepeater.modes import ModeSpace
 from muxrepeater.werner import (
     average_ef,
@@ -167,3 +168,17 @@ class TestAverageEbitContent:
         werner._average_ef(ModeSpace.default(), np.linspace(0.0, 6000.0, 10),
                            0.05)
         assert sizes == [werner._QUAD_BLOCK] * 2 + [2 * 1024]
+
+
+class TestChiEffDomain:
+    """A non-positive or nan chi_eff is named, not turned into 0 ebits."""
+
+    @pytest.mark.parametrize("chi_eff", [0.0, -0.1, math.nan])
+    @pytest.mark.parametrize("evaluate", [
+        lambda space, chi: visibility_at(1.0, 10.0, chi),
+        lambda space, chi: ef_of_mode(100.0, 10.0, chi, space),
+        lambda space, chi: average_ef(space, 10.0, chi)],
+        ids=["visibility_at", "ef_of_mode", "average_ef"])
+    def test_rejected(self, evaluate, chi_eff):
+        with pytest.raises(ValueError, match="chi_eff must be strictly positive"):
+            evaluate(ModeSpace.default(), chi_eff)
