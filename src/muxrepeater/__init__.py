@@ -57,7 +57,7 @@ from .params import (
     load_config,
     parse_config,
 )
-from .sweep import optimize_nodes, sweep
+from .sweep import sweep
 from .werner import average_ef, concurrence, ef_of_mode, entanglement_of_formation
 
 __version__ = "0.1.0"
@@ -96,7 +96,6 @@ __all__ = [
     "mean_entanglement",
     "mode_count",
     "mode_measure",
-    "optimize_nodes",
     "p_enc_chain",
     "p_enc_stage",
     "p_eng",

@@ -59,6 +59,13 @@ def _check_node_counts(n_nodes) -> None:
         raise ValueError("a chain needs at least 2 nodes")
 
 
+def _racers(n_nodes, waiting_count: str):
+    """Heralders the held wait races: N-1 ("links") or N ("nodes")."""
+    if waiting_count not in WAITING_COUNTS:
+        raise ValueError(f"waiting_count must be one of {WAITING_COUNTS}")
+    return n_nodes - 1 if waiting_count == "links" else n_nodes
+
+
 def p_eng_chain(p_g, n_nodes):
     """Probability that all N-1 links herald simultaneously: p_g**(N-1).
 
@@ -200,17 +207,16 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
     them: the architecture, chi_eff and the lifetime law.
     Products of probabilities may underflow to 0 at long chains; the
     resulting divisions by 0 (or by subnormals) give T_tot = inf, R = 0 and
-    T_per_ebit = inf by design, so those warnings are silenced here.
+    T_per_ebit = inf by design, as does a clock period L0/c past the float
+    range, so those warnings are silenced here.
     """
     if architecture not in ARCHITECTURES:
         raise ValueError(f"architecture must be one of {ARCHITECTURES}")
-    if waiting_count not in WAITING_COUNTS:
-        raise ValueError(f"waiting_count must be one of {WAITING_COUNTS}")
+    racers = _racers(n, waiting_count)
     _check_node_counts(n)
     if not np.all((l_km > 0) & np.isfinite(l_km)):
         raise ValueError("total distance must be strictly positive and finite")
     l0_km = l_km / (n - 1)
-    t_rep = l0_km / constants.c
     budget = link_physics.link_budget(platform, l0_km, constants)
     eta_det = platform.enc_detector_efficiency
     p_e, p_f = p_enc_stage(platform.eta_r, eta_det)
@@ -218,6 +224,7 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
     eta_final = (eta_det * platform.eta_x) ** 2
     p_eng = p_eng_chain(budget.p_g, n)
     with np.errstate(divide="ignore", over="ignore"):
+        t_rep = l0_km / constants.c
         if architecture == "ahierarchical":
             p_success = p_eng * p_enc * eta_final
             t_tot = t_rep / p_success
@@ -226,8 +233,7 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
             p_success = p_enc * eta_final
             waits = np.full(t_rep.shape, np.inf)
             heralds = budget.p_g > 0.0
-            racers = np.broadcast_to(n - 1 if waiting_count == "links" else n,
-                                     t_rep.shape)
+            racers = np.broadcast_to(racers, t_rep.shape)
             waits[heralds] = _expected_max_rounds(racers[heralds],
                                                   budget.p_g[heralds])
             t_tot = (t_rep * waits + l_km / constants.c) / p_success

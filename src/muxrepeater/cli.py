@@ -197,8 +197,7 @@ def _cmd_ef_curve(args, bundle, space):
 def _cmd_rate_curve(args, bundle, space):
     platforms = [bundle.platform(name) for name in args.platforms]
     records = sweep_grid(args.grid, platforms, args.archs, bundle.constants,
-                         space, bundle.noise, range(2, args.n_max + 1),
-                         waiting_count=args.waiting_count)
+                         space, bundle.noise, args.n_max, args.waiting_count)
     rows = [_record_row(r) for r in records]
     if not args.no_spdc:
         # each detected pair carries E_F(visibility) ebit
@@ -246,7 +245,7 @@ def _cmd_mc_validate(args, bundle, space):
     cells = []   # (n_nodes, p_g, racers, config); cell i uses seed + i
     for n_nodes in _MC_GRID_NODES:
         for p_g in _MC_GRID_PROBS:
-            racers = n_nodes - 1 if args.waiting_count == "links" else n_nodes
+            racers = chain._racers(n_nodes, args.waiting_count)
             cfg = montecarlo.McConfig(samples=args.samples,
                                       seed=args.seed + len(cells))
             cells.append((n_nodes, p_g, racers, cfg))

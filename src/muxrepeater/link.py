@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import PhysicalConstants, PlatformParams
+from .params import DECOHERENCE_KINDS, PhysicalConstants, PlatformParams
 
 # exp() argument beyond which the visibility underflows to 0 anyway
 _EXP_CLIP = 700.0
@@ -81,13 +81,13 @@ def visibility_at(t_us, tau_us, chi_eff: float, decoherence: str = "gaussian"):
         raise ValueError("chi_eff must be strictly positive")
     if np.any(np.asarray(t_us) < 0):
         raise ValueError("storage time must be non-negative")
-    ratio = np.asarray(t_us, dtype=float) / np.asarray(tau_us, dtype=float)
-    if decoherence == "gaussian":
-        x = ratio * ratio
-    elif decoherence == "exponential":
-        x = ratio
-    else:
+    if decoherence not in DECOHERENCE_KINDS:
         raise ValueError(f"unknown decoherence kind {decoherence!r}")
+    # an x past the float range is inf, and inf gives V = 0 like any x >= clip
+    with np.errstate(over="ignore"):
+        x = np.asarray(t_us, dtype=float) / np.asarray(tau_us, dtype=float)
+        if decoherence == "gaussian":
+            x = x * x
     v = 1.0 / (1.0 + 2.0 * chi_eff * np.exp(np.minimum(x, _EXP_CLIP)))
     v = np.where(x >= _EXP_CLIP, 0.0, v)
     return float(v) if v.ndim == 0 else v

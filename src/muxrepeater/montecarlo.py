@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (ChainPlan, chain_time, expected_max_rounds,
+from .chain import (ChainPlan, _racers, chain_time, expected_max_rounds,
                     mean_entanglement)
 from .modes import ModeSpace
 from .params import NoiseParams, PhysicalConstants, PlatformParams
@@ -290,6 +290,5 @@ def mc_chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
                       noise, waiting_count)
     if architecture == "ahierarchical":
         return _mc_ahierarchical(plan, cfg)
-    racers = n_nodes - 1 if waiting_count == "links" else n_nodes
-    return _mc_semihierarchical(plan, racers, platform, space, noise,
-                                constants.c, cfg)
+    return _mc_semihierarchical(plan, _racers(n_nodes, waiting_count),
+                                platform, space, noise, constants.c, cfg)

@@ -112,6 +112,9 @@ class ModeSpaceParams:
     def __post_init__(self) -> None:
         _require(self.k_min > 0, "k_min", "must be strictly positive")
         _require(self.k_min < self.k_max, "k_max", "must exceed K_min")
+        # the band measure squares K_max in Python floats, which raise on overflow
+        _require(math.isfinite(self.k_max * float(self.k_max)), "k_max",
+                 "must be small enough that K_max**2 stays a finite float")
         _require(self.beta > 0, "beta", "must be strictly positive")
         _require(self.temperature > 0, "temperature", "must be strictly positive")
         _require(self.gamma_policy in GAMMA_POLICIES, "gamma_policy",

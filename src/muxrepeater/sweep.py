@@ -1,8 +1,8 @@
 """Distance sweeps and node-count optimization of the per-node ebit rate.
 
 The figure of merit is Q(N, L) = R(N, L)/N, the delivered ebit rate per
-employed repeater node; N*(L) is its exhaustive integer argmax over the
-node-count range.  Each (platform, architecture) pair is one array pass
+employed repeater node; N*(L) is its exhaustive integer argmax over
+N = 2..n_max.  Each (platform, architecture) pair is one array pass
 over (L x N) blocks whose entries equal the
 :func:`muxrepeater.chain.chain_time` records; platforms with one chi_eff and
 lifetime law store for equal times and so share each spectral ebit average.
@@ -22,40 +22,26 @@ from .params import NoiseParams, PhysicalConstants, PlatformParams
 _BLOCK_ENTRIES = 8192
 
 
-def optimize_nodes(l_km: float, platform: PlatformParams, architecture: str,
-                   constants: PhysicalConstants, space: ModeSpace,
-                   noise: NoiseParams | None = None,
-                   n_range: Sequence[int] = range(2, 201),
-                   waiting_count: str = "links") -> tuple[int, ChainPlan]:
-    """Exhaustive argmax of the per-node rate over the node-count range.
-
-    No unimodality is assumed: the ceil/floor alternation in the connection
-    chain makes Q(N) non-smooth.  This is the one-distance :func:`sweep`:
-    the first maximum in ``n_range`` order wins, so ties break toward the
-    smaller node count of an ascending range, and the returned record
-    equals the :func:`chain_time` record at N*.
-    """
-    best, = sweep([l_km], [platform], [architecture], constants, space, noise,
-                  n_range, waiting_count)
-    return best.n_nodes, best
-
-
 def sweep(l_grid_km: Iterable[float], platforms: Sequence[PlatformParams],
           architectures: Sequence[str], constants: PhysicalConstants,
           space: ModeSpace, noise: NoiseParams | None = None,
-          n_range: Sequence[int] = range(2, 201),
-          waiting_count: str = "links") -> list[ChainPlan]:
+          n_max: int = 200, waiting_count: str = "links") -> list[ChainPlan]:
     """One optimized record per (L, platform, architecture) grid point.
 
+    Each record is the first maximum of Q over N = 2..n_max, so ties break
+    toward the smaller node count, and it equals the :func:`chain_time`
+    record at N*.  No unimodality is assumed: the ceil/floor alternation in
+    the connection chain makes Q(N) non-smooth.
     Output order is deterministic: distance-major, then platform order as
     given, then architecture order as given.  Blocks are built in that
     platform-then-architecture order, each over a slice of at most
     ``_BLOCK_ENTRIES`` (L, N) entries, and each is dropped after its argmax;
     the spectral averages of a slice are kept until the slice ends.
     """
-    n_values = np.array(list(n_range))
-    if n_values.size == 0:
-        raise ValueError("n_range must be non-empty")
+    if (isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer))
+            or n_max < 2):
+        raise ValueError(f"n_max must be an integer >= 2, got {n_max!r}")
+    n_values = np.arange(2, n_max + 1)
     l_values = np.array(list(l_grid_km), dtype=float)
     step = max(1, _BLOCK_ENTRIES // n_values.size)
     pairs = [(p, a) for p in platforms for a in architectures]

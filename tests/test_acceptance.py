@@ -28,7 +28,7 @@ from muxrepeater.modes import (
 )
 from muxrepeater.montecarlo import McConfig, mc_chain_time, mc_expected_max_rounds
 from muxrepeater.params import default_bundle
-from muxrepeater.sweep import optimize_nodes
+from muxrepeater.sweep import sweep
 from muxrepeater.werner import average_ef, entanglement_of_formation
 
 BUNDLE = default_bundle()
@@ -134,10 +134,10 @@ def test_criterion_08_headline_rate_anchor():
     with criterion(8, "optimized per-ebit time near 6 min at 550 km and "
                       "40 min at 700 km (one order of magnitude)"):
         start = time.perf_counter()
-        _, rec550 = optimize_nodes(550.0, WV, "ahierarchical",
-                                   BUNDLE.constants, SPACE)
-        _, rec700 = optimize_nodes(700.0, WV, "ahierarchical",
-                                   BUNDLE.constants, SPACE)
+        rec550 = sweep([550.0], [WV], ["ahierarchical"], BUNDLE.constants,
+                       SPACE)[0]
+        rec700 = sweep([700.0], [WV], ["ahierarchical"], BUNDLE.constants,
+                       SPACE)[0]
         elapsed = time.perf_counter() - start
         assert 36.0 <= rec550.t_per_ebit_s <= 3600.0
         assert 240.0 <= rec700.t_per_ebit_s <= 24_000.0
@@ -202,8 +202,8 @@ def test_criterion_12_figure_shape_properties():
                        "collapse, elementary-distance plateau, node ordering"):
         grid = [400.0, 600.0, 800.0, 1000.0, 1200.0, 1400.0, 1600.0, 1800.0,
                 2000.0]
-        records = [optimize_nodes(l, WV, "ahierarchical", BUNDLE.constants,
-                                  SPACE)[1] for l in grid]
+        records = [sweep([l], [WV], ["ahierarchical"], BUNDLE.constants,
+                         SPACE)[0] for l in grid]
 
         # heralding stays order-unity while the connection probability
         # collapses by many decades as the optimal node count grows
@@ -230,14 +230,14 @@ def test_criterion_12_figure_shape_properties():
         temporal = BUNDLE.platform("Temporal")
         lattice = BUNDLE.platform("Lattice-SM")
         for l_km in (300.0, 500.0, 700.0, 900.0):
-            n_t, _ = optimize_nodes(l_km, temporal, "ahierarchical",
-                                    BUNDLE.constants, SPACE)
-            n_w, _ = optimize_nodes(l_km, WV, "ahierarchical",
-                                    BUNDLE.constants, SPACE)
+            n_t = sweep([l_km], [temporal], ["ahierarchical"],
+                        BUNDLE.constants, SPACE)[0].n_nodes
+            n_w = sweep([l_km], [WV], ["ahierarchical"], BUNDLE.constants,
+                        SPACE)[0].n_nodes
             assert n_t > n_w
         for l_km in (300.0, 500.0, 900.0):
-            n_l, _ = optimize_nodes(l_km, lattice, "semihierarchical",
-                                    BUNDLE.constants, SPACE)
-            n_w, _ = optimize_nodes(l_km, WV, "semihierarchical",
-                                    BUNDLE.constants, SPACE)
+            n_l = sweep([l_km], [lattice], ["semihierarchical"],
+                        BUNDLE.constants, SPACE)[0].n_nodes
+            n_w = sweep([l_km], [WV], ["semihierarchical"], BUNDLE.constants,
+                        SPACE)[0].n_nodes
             assert n_l >= n_w

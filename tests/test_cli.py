@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,45 @@ class TestCommands:
         cfg.write_text(text)
         assert run(argv + ["--config", str(cfg)]) == 3
         assert "expected a finite number, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["rate-curve", "--platforms", "WV-MUX-QM", "--grid", "100:200:2"],
+        ["ef-curve", "--grid", "10:20:2"]])
+    def test_k_max_with_overflowing_square_exits_3(self, tmp_path, capsys,
+                                                    argv):
+        cfg = tmp_path / "band.json"
+        cfg.write_text('{"mode_space": {"K_max": 1e200}}')
+        assert run(argv + ["--config", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: K_max: ")
+
+    def test_overflowing_clock_period_gives_zero_rate(self, capsys):
+        # L0/c overflows to T_r = inf at the far grid point: rate 0 by design
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["optimize", "--grid", "100:1e308:2"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        near, far = csv.DictReader(io.StringIO(out))
+        assert float(near["R_ebit_per_s"]) > 0.0
+        assert float(far["L_km"]) == 1e308
+        assert float(far["R_ebit_per_s"]) == 0.0
+        assert math.isinf(float(far["T_per_ebit_s"]))
+
+    def test_overflowing_storage_ratio_gives_zero_ebits(self, tmp_path,
+                                                        capsys):
+        # t/tau and its square overflow at c = 1e-300: V = 0 by design
+        cfg = tmp_path / "slow.json"
+        cfg.write_text('{"constants": {"c": 1e-300}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["ef-curve", "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 400
+        assert all(float(row["E_F"]) == 0.0 for row in rows)
 
     def test_removed_chi_eff_policy_key_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "old.json"

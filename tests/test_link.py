@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,13 @@ class TestVisibilityDecay:
     def test_long_storage_goes_to_zero(self):
         assert visibility_at(1e9, 1000.0, 0.05) == 0.0
         assert visibility_at(1e9, 1000.0, 0.05, "exponential") == 0.0
+        # t/tau overflows for both laws, and its square for the gaussian
+        # one, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert visibility_at(1e300, 1e-10, 0.05) == 0.0
+            assert visibility_at(1e300, 1e-10, 0.05, "exponential") == 0.0
+            assert visibility_at(1e200, 1e-10, 0.05) == 0.0
 
     def test_monotone_in_time(self):
         t = np.linspace(0.0, 5e4, 400)

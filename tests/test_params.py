@@ -103,6 +103,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="K_max"):
             ModeSpaceParams(k_min=100.0, k_max=10.0)
 
+    def test_k_max_square_must_be_finite(self):
+        # the band measure squares K_max in Python floats
+        with pytest.raises(ConfigError, match="^K_max: "):
+            ModeSpaceParams(k_max=1e200)
+        with pytest.raises(ConfigError, match="^K_max: "):
+            ModeSpaceParams(k_max=10 ** 200)
+        assert ModeSpaceParams(k_max=1e154).k_max == 1e154
+
     def test_noise_nonnegative(self):
         with pytest.raises(ConfigError, match="B"):
             NoiseParams(B=-1e-3)

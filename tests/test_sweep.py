@@ -9,7 +9,7 @@ from muxrepeater import werner
 from muxrepeater.chain import _chain_block, _rows, chain_time
 from muxrepeater.modes import ModeSpace
 from muxrepeater.params import default_bundle
-from muxrepeater.sweep import _BLOCK_ENTRIES, optimize_nodes, sweep
+from muxrepeater.sweep import _BLOCK_ENTRIES, sweep
 
 BUNDLE = default_bundle()
 ARCHS = ["ahierarchical", "semihierarchical"]
@@ -55,10 +55,8 @@ class TestOptimizeNodes:
     def test_winner_dominates_range(self):
         bundle, space = bundle_and_space()
         wv = bundle.platform("WV-MUX-QM")
-        n_star, best = optimize_nodes(550.0, wv, "ahierarchical",
-                                      bundle.constants, space,
-                                      n_range=range(2, 31))
-        assert best.n_nodes == n_star
+        best, = sweep([550.0], [wv], ["ahierarchical"], bundle.constants,
+                      space, n_max=30)
         for n in range(2, 31):
             rec = chain_time("ahierarchical", wv, n, 550.0, bundle.constants,
                              space)
@@ -68,10 +66,9 @@ class TestOptimizeNodes:
         bundle, space = bundle_and_space()
         temporal = bundle.platform("Temporal")
         # beyond the reach cutoff every node count gives Q = 0
-        n_star, best = optimize_nodes(4000.0, temporal, "semihierarchical",
-                                      bundle.constants, space,
-                                      n_range=range(2, 10))
-        assert n_star == 2
+        best, = sweep([4000.0], [temporal], ["semihierarchical"],
+                      bundle.constants, space, n_max=9)
+        assert best.n_nodes == 2
         assert best.q_ebit_per_s_per_node == 0.0
 
     @given(st.sampled_from([p.name for p in BUNDLE.platforms]),
@@ -83,20 +80,20 @@ class TestOptimizeNodes:
                                             n_lo, span):
         space = ModeSpace.default()
         platform = BUNDLE.platform(name)
-        n_range = range(n_lo, n_lo + span + 1)
-        block = _chain_block(arch, platform, np.array(n_range), l_km,
+        n_max = n_lo + span
+        block = _chain_block(arch, platform, np.arange(n_lo, n_max + 1), l_km,
                              BUNDLE.constants, space, waiting_count=count)
         best = None
-        for i, n in enumerate(n_range):  # the first maximum wins
+        for n in range(2, n_max + 1):  # the first maximum wins
             rec = chain_time(arch, platform, n, l_km, BUNDLE.constants, space,
                              waiting_count=count)
-            assert _rows(block, [i]) == [rec]
+            if n >= n_lo:
+                assert _rows(block, [n - n_lo]) == [rec]
             if best is None or rec.q_ebit_per_s_per_node > best.q_ebit_per_s_per_node:
                 best = rec
-        n_star, record = optimize_nodes(l_km, platform, arch, BUNDLE.constants,
-                                        space, n_range=n_range,
-                                        waiting_count=count)
-        assert n_star == best.n_nodes
+        record, = sweep([l_km], [platform], [arch], BUNDLE.constants, space,
+                        n_max=n_max, waiting_count=count)
+        assert record.n_nodes == best.n_nodes
         assert record == best
 
     @pytest.mark.parametrize("name, arch, zero_rate", [
@@ -110,37 +107,37 @@ class TestOptimizeNodes:
         space = ModeSpace.default()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            n_star, record = optimize_nodes(
-                np.float64(2000.0), BUNDLE.platform(name), arch,
-                BUNDLE.constants, space, n_range=range(2, 401))
-        assert record.n_nodes == n_star
+            record, = sweep([np.float64(2000.0)], [BUNDLE.platform(name)],
+                            [arch], BUNDLE.constants, space, n_max=400)
         assert (record.q_ebit_per_s_per_node == 0.0) == zero_rate
         if zero_rate:
-            assert n_star == 2
+            assert record.n_nodes == 2
 
-    def test_rejects_bad_range(self):
+    @pytest.mark.parametrize("n_max", [1, 0, 2.5, True])
+    def test_rejects_bad_n_max(self, n_max):
         bundle, space = bundle_and_space()
         wv = bundle.platform("WV-MUX-QM")
-        with pytest.raises(ValueError):
-            optimize_nodes(550.0, wv, "ahierarchical", bundle.constants,
-                           space, n_range=[])
-        with pytest.raises(ValueError):
-            optimize_nodes(550.0, wv, "ahierarchical", bundle.constants,
-                           space, n_range=range(1, 5))
-        with pytest.raises(ValueError, match="node counts must be integers"):
-            optimize_nodes(300.0, wv, "ahierarchical", bundle.constants,
-                           space, n_range=[2.7, 3.9])
+        with pytest.raises(ValueError, match="n_max"):
+            sweep([550.0], [wv], ["ahierarchical"], bundle.constants, space,
+                  n_max=n_max)
+
+    def test_n_max_two_searches_two_nodes_only(self):
+        bundle, space = bundle_and_space()
+        records = sweep([100.0, 550.0, 2000.0], bundle.platforms, ARCHS,
+                        bundle.constants, space, n_max=2)
+        assert len(records) == 3 * len(bundle.platforms) * len(ARCHS)
+        assert {r.n_nodes for r in records} == {2}
 
     def test_waiting_count_is_explicit(self):
         bundle, space = bundle_and_space()
         wv = bundle.platform("WV-MUX-QM")
-        args = (550.0, wv, "semihierarchical", bundle.constants, space)
-        n_star, record = optimize_nodes(*args, waiting_count="nodes")
-        assert record == chain_time("semihierarchical", wv, n_star, 550.0,
-                                    bundle.constants, space,
+        args = ([550.0], [wv], ["semihierarchical"], bundle.constants, space)
+        record, = sweep(*args, waiting_count="nodes")
+        assert record == chain_time("semihierarchical", wv, record.n_nodes,
+                                    550.0, bundle.constants, space,
                                     waiting_count="nodes")
         with pytest.raises(TypeError, match="unexpected keyword"):
-            optimize_nodes(*args, averages={})
+            sweep(*args, averages={})
 
     def test_rejects_infinite_distance(self):
         bundle, space = bundle_and_space()
@@ -152,10 +149,10 @@ class TestOptimizeNodes:
         wv = bundle.platform("WV-MUX-QM")
         temporal = bundle.platform("Temporal")
         for l_km in (300.0, 500.0, 700.0):
-            n_t, _ = optimize_nodes(l_km, temporal, "ahierarchical",
-                                    bundle.constants, space)
-            n_w, _ = optimize_nodes(l_km, wv, "ahierarchical",
-                                    bundle.constants, space)
+            n_t = sweep([l_km], [temporal], ["ahierarchical"],
+                        bundle.constants, space)[0].n_nodes
+            n_w = sweep([l_km], [wv], ["ahierarchical"], bundle.constants,
+                        space)[0].n_nodes
             assert n_t > n_w
 
     def test_single_mode_needs_more_nodes_when_holding(self):
@@ -163,10 +160,10 @@ class TestOptimizeNodes:
         wv = bundle.platform("WV-MUX-QM")
         lattice = bundle.platform("Lattice-SM")
         for l_km in (300.0, 500.0, 900.0):
-            n_l, _ = optimize_nodes(l_km, lattice, "semihierarchical",
-                                    bundle.constants, space)
-            n_w, _ = optimize_nodes(l_km, wv, "semihierarchical",
-                                    bundle.constants, space)
+            n_l = sweep([l_km], [lattice], ["semihierarchical"],
+                        bundle.constants, space)[0].n_nodes
+            n_w = sweep([l_km], [wv], ["semihierarchical"], bundle.constants,
+                        space)[0].n_nodes
             assert n_l >= n_w
 
 
@@ -179,8 +176,8 @@ class TestBaselineCrossover:
         wv = bundle.platform("WV-MUX-QM")
 
         def times(l_km):
-            _, rec = optimize_nodes(l_km, wv, "ahierarchical",
-                                    bundle.constants, space)
+            rec = sweep([l_km], [wv], ["ahierarchical"], bundle.constants,
+                        space)[0]
             return rec.t_per_ebit_s, spdc_time(l_km, bundle.spdc,
                                                bundle.constants) * 1e-6
 
@@ -197,31 +194,30 @@ class TestSweep:
         archs = ["ahierarchical", "semihierarchical"]
         grid = [300.0, 500.0]
         records = sweep(grid, platforms, archs, bundle.constants, space,
-                        n_range=range(2, 21))
+                        n_max=20)
         assert [(r.l_km, r.platform, r.architecture) for r in records] == [
             (l, p.name, a) for l in grid for p in platforms for a in archs]
         again = sweep(grid, platforms, archs, bundle.constants, space,
-                      n_range=range(2, 21))
+                      n_max=20)
         assert records == again
 
     @given(st.lists(st.floats(50.0, 2500.0), min_size=2, max_size=6),
            st.lists(st.sampled_from([p.name for p in BUNDLE.platforms]),
                     min_size=1, max_size=4),
            st.permutations(ARCHS), st.sampled_from(["links", "nodes"]),
-           st.integers(2, 12), st.integers(0, 15))
+           st.integers(2, 27))
     @settings(max_examples=30, deadline=None)
-    def test_records_match_scalar_loop(self, grid, names, archs, count, n_lo,
-                                       span):
+    def test_records_match_scalar_loop(self, grid, names, archs, count,
+                                       n_max):
         # independent oracle: chain_time at every N, keeping the first maximum
         space = ModeSpace.default()
         platforms = [BUNDLE.platform(name) for name in names]
-        n_range = range(n_lo, n_lo + span + 1)
         expected = []
         for l_km in grid:
             for platform in platforms:
                 for arch in archs:
                     best = None
-                    for n in n_range:
+                    for n in range(2, n_max + 1):
                         rec = chain_time(arch, platform, n, l_km,
                                          BUNDLE.constants, space,
                                          waiting_count=count)
@@ -230,7 +226,7 @@ class TestSweep:
                             best = rec
                     expected.append(best)
         assert sweep(grid, platforms, archs, BUNDLE.constants, space,
-                     n_range=n_range, waiting_count=count) == expected
+                     n_max=n_max, waiting_count=count) == expected
 
     @given(st.lists(st.floats(50.0, 2500.0), min_size=1, max_size=4),
            st.sampled_from([p.name for p in BUNDLE.platforms]),
@@ -266,18 +262,18 @@ class TestSweep:
         monkeypatch.setattr(werner, "_average_ef", counting)
         grid = np.linspace(100.0, 1000.0, 10)
         records = sweep(grid, WV, ARCHS, BUNDLE.constants, ModeSpace.default(),
-                        n_range=range(2, 201))
+                        n_max=200)
         assert len(records) == 40
         assert sum(rows) == 2 * 10 * 199
 
     def test_distance_slices_match_single_distances(self):
         # 5 x 2999 (L, N) entries overflow one block, so the grid is sliced
-        n_range = range(2, 3001)
+        n_max = 3000
         grid = [150.0, 420.0, 777.7, 1300.0, 2600.0]
-        assert len(grid) * len(n_range) > _BLOCK_ENTRIES
+        assert len(grid) * (n_max - 1) > _BLOCK_ENTRIES
         space = ModeSpace.default()
-        whole = sweep(grid, WV, ARCHS, BUNDLE.constants, space, n_range=n_range)
+        whole = sweep(grid, WV, ARCHS, BUNDLE.constants, space, n_max=n_max)
         single = [record for l_km in grid
                   for record in sweep([l_km], WV, ARCHS, BUNDLE.constants,
-                                      space, n_range=n_range)]
+                                      space, n_max=n_max)]
         assert whole == single
