@@ -15,7 +15,6 @@ from .chain import (
     mean_entanglement,
     p_enc_chain,
     p_enc_stage,
-    p_eng_chain,
     range_limits,
     spdc_time,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "p_enc_chain",
     "p_enc_stage",
     "p_eng",
-    "p_eng_chain",
     "p_single",
     "parse_config",
     "range_limits",

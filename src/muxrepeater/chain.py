@@ -66,15 +66,6 @@ def _racers(n_nodes, waiting_count: str):
     return n_nodes - 1 if waiting_count == "links" else n_nodes
 
 
-def p_eng_chain(p_g, n_nodes):
-    """Probability that all N-1 links herald simultaneously: p_g**(N-1).
-
-    Accepts scalars or matching arrays of p_g and N.
-    """
-    _check_node_counts(n_nodes)
-    return p_g ** (n_nodes - 1)
-
-
 def p_enc_chain(p_f: float, p_e: float, eta_x: float, n_nodes):
     """Probability that every connection across the chain succeeds.
 
@@ -222,7 +213,7 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
     p_e, p_f = p_enc_stage(platform.eta_r, eta_det)
     p_enc = p_enc_chain(p_f, p_e, platform.eta_x, n)
     eta_final = (eta_det * platform.eta_x) ** 2
-    p_eng = p_eng_chain(budget.p_g, n)
+    p_eng = budget.p_g ** (n - 1)   # all N-1 links herald in one period
     with np.errstate(divide="ignore", over="ignore"):
         t_rep = l0_km / constants.c
         if architecture == "ahierarchical":
@@ -331,7 +322,7 @@ def range_limits(platform: PlatformParams, space: ModeSpace,
         tau = platform.tau_us
         k_ref = None
     else:
-        if k_ref_inv_mm is None or k_ref_inv_mm <= 0:
+        if k_ref_inv_mm is None or not k_ref_inv_mm > 0:
             raise ValueError("a positive K_ref is required for "
                              "mode-dependent lifetimes")
         tau = space.gamma / k_ref_inv_mm
@@ -352,7 +343,7 @@ def spdc_time(l_km: float, spdc, constants: PhysicalConstants) -> float:
     chi * eta_s**2 * f_rep * that transmission; the returned time is its
     reciprocal divided by the ebit content of the source state.
     """
-    if l_km < 0:
+    if not l_km >= 0:
         raise ValueError("distance must be non-negative")
     pair_transmission = link_physics.transmission(l_km, constants.alpha)
     rate = spdc.chi * spdc.eta_s ** 2 * spdc.f_rep * pair_transmission

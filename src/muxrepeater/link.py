@@ -21,7 +21,7 @@ _EXP_CLIP = 700.0
 
 def transmission(z_km, alpha_db_per_km: float):
     """Fiber power transmission 10**(-alpha*z/10) over z km (scalar or array)."""
-    if np.any(np.asarray(z_km) < 0):
+    if not np.all(np.asarray(z_km) >= 0):
         raise ValueError("fiber length must be non-negative")
     if alpha_db_per_km < 0:
         raise ValueError("attenuation must be non-negative")
@@ -34,17 +34,17 @@ def _check_probability(value, name: str) -> None:
         raise ValueError(f"{name} must lie in [0, 1]")
 
 
-def p_single(chi: float, eta_det: float, eta_t_half):
+def p_single(chi: float, eta_det: float, eta_half):
     """Success probability of one heralded pair attempt in a single mode.
 
     Both photons (one per memory) must be generated, survive half the link,
-    and fire the midway detector: (chi * eta_det * eta_t_half)**2.
-    ``eta_t_half`` may be an array.
+    and fire the midway detector: (chi * eta_det * eta_half)**2, where
+    ``eta_half`` is the fiber transmission over L0/2 and may be an array.
     """
     for name, value in (("chi", chi), ("eta_det", eta_det),
-                        ("eta_t_half", eta_t_half)):
+                        ("eta_half", eta_half)):
         _check_probability(value, name)
-    return (chi * eta_det * eta_t_half) ** 2
+    return (chi * eta_det * eta_half) ** 2
 
 
 def p_eng(p1, modes: int, multiplexed: bool):
@@ -79,7 +79,7 @@ def visibility_at(t_us, tau_us, chi_eff: float, decoherence: str = "gaussian"):
     """
     if not chi_eff > 0:   # also rejects nan
         raise ValueError("chi_eff must be strictly positive")
-    if np.any(np.asarray(t_us) < 0):
+    if not np.all(np.asarray(t_us) >= 0):
         raise ValueError("storage time must be non-negative")
     if decoherence not in DECOHERENCE_KINDS:
         raise ValueError(f"unknown decoherence kind {decoherence!r}")
@@ -95,13 +95,11 @@ def visibility_at(t_us, tau_us, chi_eff: float, decoherence: str = "gaussian"):
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Derived quantities of one elementary link at distance l0_km.
+    """Heralding probabilities of one elementary link at distance l0_km.
 
-    Every field is an array of the same shape when l0_km is an array.
+    Both fields are arrays of the same shape when l0_km is an array.
     """
 
-    l0_km: float
-    eta_t_half: float   # transmission over l0/2
     p1: float           # single-mode success probability
     p_g: float          # success probability over all mode pairings
 
@@ -109,7 +107,7 @@ class LinkBudget:
 def link_budget(platform: PlatformParams, l0_km,
                 constants: PhysicalConstants) -> LinkBudget:
     """Evaluate the elementary-link budget for one platform (scalar or array l0)."""
-    eta_t_half = transmission(l0_km / 2.0, constants.alpha)
-    p1 = p_single(platform.chi, platform.eta_m, eta_t_half)
+    eta_half = transmission(l0_km / 2.0, constants.alpha)
+    p1 = p_single(platform.chi, platform.eta_m, eta_half)
     p_g = p_eng(p1, platform.modes, platform.multiplexed)
-    return LinkBudget(l0_km=l0_km, eta_t_half=eta_t_half, p1=p1, p_g=p_g)
+    return LinkBudget(p1=p1, p_g=p_g)

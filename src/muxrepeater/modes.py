@@ -42,7 +42,7 @@ def round_to_one_digit(x: float) -> float:
 
 def tau_of_k(k_inv_mm, gamma_us_mm: float):
     """Mode lifetime gamma/K in us; accepts scalars or arrays."""
-    if np.any(np.asarray(k_inv_mm) <= 0):
+    if not np.all(np.asarray(k_inv_mm) > 0):
         raise ValueError("wavevector modulus must be strictly positive")
     return gamma_us_mm / k_inv_mm
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, Field, dataclass, fields
 from pathlib import Path
 
@@ -75,6 +76,9 @@ class PlatformParams:
         _require(bool(self.name), "name", "must be a non-empty string")
         _require(isinstance(self.modes, int) and self.modes >= 1, "modes",
                  "must be an integer >= 1")
+        pairings = self.modes * self.modes if self.multiplexed else self.modes
+        _require(pairings <= sys.float_info.max, "modes", "must be small enough "
+                 "that the pairing count (M, or M**2 if multiplexed) fits a float")
         _require(0.0 < self.chi < 1.0, "chi", "must lie in (0, 1)")
         for field_name in ("eta_r", "eta_x", "eta_s", "eta_m"):
             value = getattr(self, field_name)
@@ -202,13 +206,7 @@ def builtin_platforms() -> tuple[PlatformParams, ...]:
 
 
 def default_bundle() -> ParameterBundle:
-    return ParameterBundle(
-        constants=PhysicalConstants(),
-        platforms=builtin_platforms(),
-        mode_space=ModeSpaceParams(),
-        noise=NoiseParams(),
-        spdc=SpdcParams(),
-    )
+    return parse_config({})
 
 
 # Config sections in document order; "platforms" is an array of entries.
@@ -222,8 +220,11 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    # Python's JSON parser accepts the Infinity and NaN literals
-    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+    # Python's JSON parser accepts the Infinity and NaN literals, and integer
+    # literals past the float range
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
 
 
 # the JSON values each field annotation accepts, as named in error messages
@@ -278,7 +279,7 @@ def load_config(path: str | Path | None = None) -> ParameterBundle:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text) if text.strip() else {}
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also integers past Python's digit limit
         raise ConfigError(f"config: malformed JSON in {path}: {exc}") from exc
     return parse_config(data)
 

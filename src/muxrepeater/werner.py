@@ -54,16 +54,10 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _check_unit_interval(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError(f"{name} must lie in [0, 1]")
-    return arr
-
-
 def concurrence(visibility):
     """Concurrence max(0, (3V-1)/2) of a white-noise Bell mixture."""
-    v = _check_unit_interval(visibility, "visibility")
+    v = np.asarray(visibility, dtype=float)
+    link._check_probability(v, "visibility")
     c = np.maximum(0.0, (3.0 * v - 1.0) / 2.0)
     return float(c) if c.ndim == 0 else c
 

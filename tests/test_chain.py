@@ -14,7 +14,6 @@ from muxrepeater.chain import (
     mean_entanglement,
     p_enc_chain,
     p_enc_stage,
-    p_eng_chain,
     range_limits,
     spdc_time,
 )
@@ -96,11 +95,28 @@ class TestConnectionStage:
 
 class TestChainProbabilities:
     def test_p_eng_trivials(self):
-        assert p_eng_chain(1.0, 7) == 1.0
-        assert p_eng_chain(0.42, 2) == 0.42
+        bundle, space = bundle_and_space()
+        # 10 km links of the multiplexed platform herald with p_g = 1 exactly
+        sure = chain_time("ahierarchical", bundle.platform("WV-MUX-QM"), 7,
+                          60.0, bundle.constants, space)
+        assert sure.p_g == 1.0
+        assert sure.p_eng == 1.0
+        one_link = chain_time("ahierarchical", bundle.platform("Temporal"), 2,
+                              100.0, bundle.constants, space)
+        assert 0.0 < one_link.p_g < 1.0
+        assert one_link.p_eng == one_link.p_g
 
-    def test_p_eng_hand_value(self):
-        assert p_eng_chain(0.9959, 5) == pytest.approx(0.9959 ** 4, rel=1e-12)
+    @pytest.mark.parametrize("arch", ["ahierarchical", "semihierarchical"])
+    def test_p_eng_hand_value(self, arch):
+        bundle, space = bundle_and_space()
+        for platform in bundle.platforms:
+            for n, l_km in ((3, 100.0), (5, 550.0), (12, 1300.0)):
+                plan = chain_time(arch, platform, n, l_km, bundle.constants,
+                                  space)
+                # numpy's vectorized power may differ from the correctly
+                # rounded Python pow by an ulp (0.5945451160483114**2)
+                assert plan.p_eng == pytest.approx(
+                    plan.p_g ** (plan.n_nodes - 1), rel=1e-15)
 
     def test_p_enc_endpoints_only(self):
         assert p_enc_chain(0.1, 0.2, 1.0, 2) == 1.0
@@ -122,14 +138,12 @@ class TestChainProbabilities:
                                          np.array([3.0, 4.0])],
                              ids=["2.5", "4.5", "float", "numpy-float",
                                   "float-array"])
-    @pytest.mark.parametrize("helper", ["p_eng_chain", "p_enc_chain",
-                                        "range_limits"])
+    @pytest.mark.parametrize("helper", ["p_enc_chain", "range_limits"])
     def test_exported_helpers_reject_non_integer_node_count(self, helper,
                                                             n_nodes):
         bundle, space = bundle_and_space()
         wv = bundle.platform("WV-MUX-QM")
         call = {
-            "p_eng_chain": lambda: p_eng_chain(0.5, n_nodes),
             "p_enc_chain": lambda: p_enc_chain(0.1, 0.2, 0.9, n_nodes),
             "range_limits": lambda: range_limits(wv, space, 10.0, n_nodes,
                                                  bundle.constants),
@@ -140,8 +154,6 @@ class TestChainProbabilities:
     @pytest.mark.parametrize("n_nodes", [1, np.array([2, 1])],
                              ids=["scalar", "array"])
     def test_chain_probabilities_reject_chains_below_two_nodes(self, n_nodes):
-        with pytest.raises(ValueError, match="a chain needs at least 2 nodes"):
-            p_eng_chain(0.5, n_nodes)
         with pytest.raises(ValueError, match="a chain needs at least 2 nodes"):
             p_enc_chain(0.1, 0.2, 0.9, n_nodes)
 
@@ -415,6 +427,13 @@ class TestChainTime:
 
 
 class TestMeanEntanglement:
+    @pytest.mark.parametrize("name", ["Temporal", "WV-MUX-QM"])
+    @pytest.mark.parametrize("t_us", [-1.0, math.nan])
+    def test_rejects_bad_storage_time(self, name, t_us):
+        bundle, space = bundle_and_space()
+        with pytest.raises(ValueError, match="storage time must be non-negative"):
+            mean_entanglement(bundle.platform(name), space, t_us)
+
     def test_temporal_at_zero_storage(self):
         bundle, space = bundle_and_space()
         temporal = bundle.platform("Temporal")
@@ -471,6 +490,13 @@ class TestRangeLimits:
         with pytest.raises(ValueError, match="a chain needs at least 2 nodes"):
             range_limits(wv, space, 10.0, n_nodes, bundle.constants)
 
+    @pytest.mark.parametrize("k_ref", [None, 0.0, -10.0, math.nan])
+    def test_mode_dependent_lifetime_needs_positive_k_ref(self, k_ref):
+        bundle, space = bundle_and_space()
+        with pytest.raises(ValueError, match="a positive K_ref is required"):
+            range_limits(bundle.platform("WV-MUX-QM"), space, k_ref, None,
+                         bundle.constants)
+
     def test_fixed_lifetime_platform_ignores_k_ref(self):
         bundle, space = bundle_and_space()
         lattice = bundle.platform("Lattice-SM")
@@ -494,6 +520,11 @@ class TestSpdcBaseline:
         constants = PhysicalConstants()
         t_years = spdc_time(700.0, SpdcParams(), constants) * 1e-6 / 86400.0 / 365.25
         assert t_years == pytest.approx(4.890137008337801, rel=1e-9)
+
+    @pytest.mark.parametrize("l_km", [-1.0, math.nan])
+    def test_rejects_bad_distance(self, l_km):
+        with pytest.raises(ValueError, match="distance must be non-negative"):
+            spdc_time(l_km, SpdcParams(), PhysicalConstants())
 
     def test_imperfect_visibility_costs_time(self):
         constants = PhysicalConstants()

@@ -117,6 +117,25 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error: K_max: ")
 
+    @pytest.mark.parametrize("text, argv, prefix", [
+        ('{"spdc": {"f_rep": 1%s}}' % ("0" * 400), ["spdc"], "f_rep"),
+        ('{"mode_space": {"K_max": 1%s}}' % ("0" * 400),
+         ["ef-curve", "--grid", "10:20:2"], "K_max"),
+        ('{"platforms": [{"name": "X", "M": 1%s, "chi": 0.1, "eta_r": 0.5, '
+         '"tau_ms": 1.0, "multiplexed": true}]}' % ("0" * 200),
+         ["pg-curve", "--platforms", "X"], "M"),
+        ('{"spdc": {"f_rep": 1%s}}' % ("0" * 4999), ["spdc"], "config")],
+        ids=["f_rep-int-literal", "K_max-int-literal", "multiplexed-M",
+             "int-past-digit-limit"])
+    def test_numbers_past_the_float_range_exit_3(self, tmp_path, capsys, text,
+                                                 argv, prefix):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(text)
+        assert run(argv + ["--config", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {prefix}: ")
+
     def test_overflowing_clock_period_gives_zero_rate(self, capsys):
         # L0/c overflows to T_r = inf at the far grid point: rate 0 by design
         with warnings.catch_warnings():

@@ -31,6 +31,8 @@ class TestTransmission:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             transmission(-1.0, 0.2)
+        with pytest.raises(ValueError):
+            transmission(np.array([1.0, np.nan]), 0.2)
 
     @given(st.floats(0.0, 300.0), st.floats(0.0, 300.0))
     def test_multiplicative_in_length(self, z1, z2):
@@ -127,6 +129,8 @@ class TestVisibilityDecay:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             visibility_at(-1.0, 1000.0, 0.05)
+        with pytest.raises(ValueError, match="storage time"):
+            visibility_at(math.nan, 1000.0, 0.05)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -59,6 +59,8 @@ class TestLifetimeLaw:
     def test_rejects_nonpositive_wavevector(self):
         with pytest.raises(ValueError):
             tau_of_k(0.0, 1e5)
+        with pytest.raises(ValueError):
+            tau_of_k(np.array([10.0, np.nan]), 1e5)
 
     def test_band_edge_ordering(self):
         space = ModeSpace.default()

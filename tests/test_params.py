@@ -111,6 +111,15 @@ class TestValidation:
             ModeSpaceParams(k_max=10 ** 200)
         assert ModeSpaceParams(k_max=1e154).k_max == 1e154
 
+    def test_pairing_count_must_fit_a_float(self):
+        # 10**155 squared passes the float range; 10**154 squared does not
+        common = dict(name="x", chi=0.1, eta_r=0.5, tau_ms=1.0)
+        PlatformParams(modes=10**154, multiplexed=True, **common)
+        PlatformParams(modes=10**155, multiplexed=False, **common)
+        for modes, multiplexed in ((10**155, True), (10**309, False)):
+            with pytest.raises(ConfigError, match="^M: .*fits a float"):
+                PlatformParams(modes=modes, multiplexed=multiplexed, **common)
+
     def test_noise_nonnegative(self):
         with pytest.raises(ConfigError, match="B"):
             NoiseParams(B=-1e-3)

@@ -61,6 +61,8 @@ class TestConcurrence:
             concurrence(1.2)
         with pytest.raises(ValueError):
             concurrence(-0.1)
+        with pytest.raises(ValueError, match=r"visibility must lie in \[0, 1\]"):
+            concurrence(math.nan)
 
     def test_matches_eigen_oracle(self):
         for v in np.linspace(0.0, 1.0, 201):
@@ -75,6 +77,14 @@ class TestEntanglementOfFormation:
     def test_separable_region(self):
         for v in (0.0, 0.2, 1.0 / 3.0):
             assert entanglement_of_formation(v) == 0.0
+
+    @pytest.mark.parametrize("v", [1.2, -0.1, math.nan,
+                                   np.array([0.5, math.nan])],
+                             ids=["above-one", "negative", "nan", "nan-in-array"])
+    def test_rejects_visibility_outside_unit_interval(self, v):
+        # nan is named, not turned into 0 ebits
+        with pytest.raises(ValueError, match=r"visibility must lie in \[0, 1\]"):
+            entanglement_of_formation(v)
 
     def test_barely_entangled_is_positive(self):
         assert entanglement_of_formation(1.0 / 3.0 + 1e-9) > 0.0
@@ -137,6 +147,11 @@ class TestModeEbitContent:
 
 
 class TestAverageEbitContent:
+    @pytest.mark.parametrize("t_us", [-1.0, math.nan])
+    def test_rejects_bad_storage_time(self, t_us):
+        with pytest.raises(ValueError, match="storage time must be non-negative"):
+            average_ef(ModeSpace.default(), t_us, 0.05)
+
     def test_frozen_value_at_750us(self):
         space = ModeSpace.default()
         assert average_ef(space, 750.0, 0.05) == \
