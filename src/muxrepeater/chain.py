@@ -130,7 +130,7 @@ def expected_max_rounds(m: int, p: float) -> float:
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError("m must be an integer >= 1")
     return float(_expected_max_rounds(np.array([m]), np.array([p]))[0])
 
@@ -303,12 +303,15 @@ def range_limits(platform: PlatformParams, space: ModeSpace,
                  chi: float | None = None) -> RangeLimits:
     """Distances beyond which the reference mode holds no entanglement.
 
-    The stored state stays entangled while chi * exp((t/tau)**2) < 1.  With
-    blind storage t = L0/c that bounds the elementary distance at
-    c*tau*sqrt(log(1/chi)); with semihierarchical storage t = (L+L0)/c it
-    bounds the total distance at (N-1)/N * tau/2 * c * log(1/chi)
-    (``n_nodes=None`` takes the many-node limit).  Fixed-lifetime platforms
-    use their own tau; mode-dependent platforms use tau(K_ref).  At chi >= 1
+    The stored state stays entangled while chi * exp(x) < 1, with
+    x = (t/tau)**2 for gaussian and t/tau for exponential decay.  With blind
+    storage t = L0/c that bounds the elementary distance at
+    c*tau*sqrt(log(1/chi)) (gaussian) or c*tau*log(1/chi) (exponential).
+    The semihierarchical limit is the paper's closed form
+    (N-1)/N * tau/2 * c * log(1/chi) on the total distance
+    (``n_nodes=None`` takes the many-node limit); it is not the model's own
+    zero point, which can lie further out.  Fixed-lifetime platforms use
+    their own tau; mode-dependent platforms use tau(K_ref).  At chi >= 1
     (read-out noise can push chi_eff there) no distance is entangled and
     both limits are 0.
     """
@@ -328,7 +331,9 @@ def range_limits(platform: PlatformParams, space: ModeSpace,
         tau = space.gamma / k_ref_inv_mm
         k_ref = k_ref_inv_mm
     log_gain = max(0.0, math.log(1.0 / chi))
-    l0_max = constants.c * tau * math.sqrt(log_gain)
+    reach = (math.sqrt(log_gain) if platform.decoherence == "gaussian"
+             else log_gain)
+    l0_max = constants.c * tau * reach
     factor = 1.0 if n_nodes is None else (n_nodes - 1) / n_nodes
     l_max = factor * (tau / 2.0) * constants.c * log_gain
     return RangeLimits(l0_max_ahier_km=l0_max, l_max_semihier_km=l_max,

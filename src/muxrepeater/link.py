@@ -23,7 +23,7 @@ def transmission(z_km, alpha_db_per_km: float):
     """Fiber power transmission 10**(-alpha*z/10) over z km (scalar or array)."""
     if not np.all(np.asarray(z_km) >= 0):
         raise ValueError("fiber length must be non-negative")
-    if alpha_db_per_km < 0:
+    if not alpha_db_per_km >= 0:   # also rejects nan
         raise ValueError("attenuation must be non-negative")
     return 10.0 ** (-alpha_db_per_km * z_km / 10.0)
 
@@ -56,7 +56,8 @@ def p_eng(p1, modes: int, multiplexed: bool):
     n ~ 3e7 without loss of precision.  ``p1`` may be an array.
     """
     _check_probability(p1, "p1")
-    if modes < 1:
+    if (isinstance(modes, bool) or not isinstance(modes, (int, np.integer))
+            or modes < 1):
         raise ValueError("modes must be >= 1")
     n = modes * modes if multiplexed else modes
     if n == 1:

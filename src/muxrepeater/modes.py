@@ -25,16 +25,16 @@ def gamma_from_temperature(temperature_k: float, atomic_mass_kg: float,
 
     tau(K) = gamma/K then gives the mode lifetime in us for K in 1/mm.
     """
-    if temperature_k <= 0:
+    if not temperature_k > 0:   # also rejects nan
         raise ValueError("temperature must be strictly positive")
-    if atomic_mass_kg <= 0:
+    if not atomic_mass_kg > 0:
         raise ValueError("atomic mass must be strictly positive")
     return math.sqrt(atomic_mass_kg / (boltzmann * temperature_k)) * _S_PER_M_TO_US_PER_MM
 
 
 def round_to_one_digit(x: float) -> float:
     """Round to one significant figure (1.0224e5 -> 1e5)."""
-    if x <= 0:
+    if not x > 0:
         raise ValueError("expected a positive value")
     scale = 10.0 ** math.floor(math.log10(x))
     return round(x / scale) * scale

@@ -182,7 +182,8 @@ def mc_expected_max_rounds(n_links: int, p_g: float, cfg: McConfig) -> McEstimat
     sampled from F(j)**n_links, so the estimate independently checks
     :func:`muxrepeater.chain.expected_max_rounds`.
     """
-    if n_links < 1:
+    if (isinstance(n_links, bool)
+            or not isinstance(n_links, (int, np.integer)) or n_links < 1):
         raise ValueError("n_links must be >= 1")
     if not 0.0 < p_g <= 1.0:
         raise ValueError("p_g must lie in (0, 1]")

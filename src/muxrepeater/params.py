@@ -275,7 +275,7 @@ def load_config(path: str | Path | None = None) -> ParameterBundle:
         return default_bundle()
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text) if text.strip() else {}

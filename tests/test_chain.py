@@ -202,7 +202,7 @@ class TestWaitingFactor:
                        space, waiting_count="link")
 
     def test_rejects_non_integer_count(self):
-        for m in (2.5, 3.0, 0):
+        for m in (2.5, 3.0, 0, math.nan, True):
             with pytest.raises(ValueError, match="integer"):
                 expected_max_rounds(m, 0.3)
 

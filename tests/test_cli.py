@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from muxrepeater import montecarlo
-from muxrepeater.chain import expected_max_rounds, spdc_time
+from muxrepeater.chain import expected_max_rounds, mean_entanglement, spdc_time
 from muxrepeater.cli import run
 from muxrepeater.modes import ModeSpace
 from muxrepeater.params import PhysicalConstants, SpdcParams, load_config
@@ -135,6 +135,14 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {prefix}: ")
+
+    def test_non_utf8_config_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "latin.json"
+        cfg.write_bytes(b'{"spdc": {"chi": 0.1}}\xff')
+        assert run(["spdc", "--config", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: config: cannot read {cfg}: ")
 
     def test_overflowing_clock_period_gives_zero_rate(self, capsys):
         # L0/c overflows to T_r = inf at the far grid point: rate 0 by design
@@ -341,6 +349,26 @@ class TestCommands:
         assert ef_of_mode(k_ref, 0.99 * l0_max / c, chi_eff, space) > 0.0
         assert ef_of_mode(k_ref, 1.01 * l0_max / c, chi_eff, space) == 0.0
 
+    @pytest.mark.parametrize("name", ["WV-MUX-QM", "WV-parallel", "Temporal",
+                                      "Lattice-SM"])
+    def test_blind_limit_is_the_entanglement_edge(self, capsys, name):
+        # gaussian decay ends at c*tau*sqrt(ln(1/chi)), exponential at
+        # c*tau*ln(1/chi); the reference mode stands in for the WV average
+        assert run(["limits", "--format", "json"]) == 0
+        rows = {row["platform"]: row for row in json.loads(capsys.readouterr().out)}
+        bundle = load_config(None)
+        space = ModeSpace.from_params(bundle.mode_space, bundle.constants)
+        platform = bundle.platform(name)
+        row = rows[name]
+        c = bundle.constants.c
+        for scale, entangled in ((0.99, True), (1.01, False)):
+            t_us = scale * row["L0_max_ahier_km"] / c
+            if platform.tau_us is None:
+                ef = ef_of_mode(row["k_ref_inv_mm"], t_us, row["chi"], space)
+            else:
+                ef = mean_entanglement(platform, space, t_us, bundle.noise)
+            assert (ef > 0.0) == entangled, (scale, ef)
+
     def test_limits_vanish_when_noise_pushes_chi_past_one(self, tmp_path,
                                                          capsys):
         cfg = tmp_path / "cfg.json"
@@ -466,13 +494,29 @@ class TestMcValidatePool:
 
 
 class TestModuleEntryPoints:
-    @pytest.mark.parametrize("module", ["muxrepeater", "muxrepeater.cli"])
-    def test_python_dash_m_runs_presets(self, module):
+    @staticmethod
+    def python(*args):
+        # a fresh interpreter that imports the package from this checkout
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", module, "presets"],
-                              capture_output=True, text=True, timeout=120,
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, timeout=120,
                               env=dict(os.environ, PYTHONPATH=path))
+
+    @pytest.mark.parametrize("module", ["muxrepeater", "muxrepeater.cli"])
+    def test_python_dash_m_runs_presets(self, module):
+        proc = self.python("-m", module, "presets")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("name,M,chi,")
         assert "WV-MUX-QM" in proc.stdout
+
+    def test_params_imports_alone(self):
+        # the package root re-exports nothing, so no other module loads
+        proc = self.python("-c", "import sys, muxrepeater.params\n"
+                           "print(sorted(m for m in sys.modules"
+                           " if m.startswith('muxrepeater')))\n"
+                           "print('numpy' in sys.modules,"
+                           " sys.modules['muxrepeater'].__all__)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "['muxrepeater', 'muxrepeater.params']", "False []"]

@@ -33,6 +33,8 @@ class TestTransmission:
             transmission(-1.0, 0.2)
         with pytest.raises(ValueError):
             transmission(np.array([1.0, np.nan]), 0.2)
+        with pytest.raises(ValueError, match="attenuation"):
+            transmission(1.0, math.nan)
 
     @given(st.floats(0.0, 300.0), st.floats(0.0, 300.0))
     def test_multiplicative_in_length(self, z1, z2):
@@ -71,6 +73,11 @@ class TestHeraldingProbability:
         for p1 in (1e-17, 1e-9, 0.3, 0.9999):
             assert p_eng(p1, 1, False) == p1
             assert p_eng(p1, 1, True) == p1
+
+    @pytest.mark.parametrize("modes", [0, 2.5, True, math.nan])
+    def test_rejects_non_integer_modes(self, modes):
+        with pytest.raises(ValueError, match="modes"):
+            p_eng(0.1, modes, False)
 
     def test_multiplexed_equals_parallel_squared(self):
         for p1 in (1e-10, 1e-6, 0.01, 0.5):

@@ -35,11 +35,18 @@ class TestThermalConstant:
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             gamma_from_temperature(0.0, RB87_MASS)
+        with pytest.raises(ValueError, match="temperature"):
+            gamma_from_temperature(math.nan, RB87_MASS)
+        with pytest.raises(ValueError, match="mass"):
+            gamma_from_temperature(1e-6, math.nan)
 
     def test_rounding_policy(self):
         assert round_to_one_digit(GAMMA_EXACT) == 1e5
         assert round_to_one_digit(9.6e4) == 1e5
         assert round_to_one_digit(5.112e4) == 5e4
+        for x in (0.0, -3.0, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                round_to_one_digit(x)
 
     def test_default_space_uses_rounded_gamma(self):
         assert ModeSpace.default().gamma == 1e5

@@ -83,6 +83,11 @@ class TestExpectedMaxRounds:
         with pytest.raises(ValueError):
             mc_expected_max_rounds(2, 0.0, McConfig(samples=10))
 
+    @pytest.mark.parametrize("n_links", [0, 2.5, math.nan, True])
+    def test_rejects_non_integer_link_count(self, n_links):
+        with pytest.raises(ValueError, match="n_links"):
+            mc_expected_max_rounds(n_links, 0.5, McConfig(samples=10))
+
     def test_subnormal_probability_saturates_without_warning(self):
         # every round count saturates at INT64_MAX, past any max_rounds
         with warnings.catch_warnings():
