@@ -18,7 +18,8 @@ import numpy as np
 from . import link as link_physics
 from . import werner
 from .modes import ModeSpace
-from .params import NoiseParams, PhysicalConstants, PlatformParams
+from .params import (NoiseParams, PhysicalConstants, PlatformParams,
+                     _check_count)
 
 ARCHITECTURES = ("ahierarchical", "semihierarchical")
 WAITING_COUNTS = ("links", "nodes")
@@ -128,10 +129,9 @@ def expected_max_rounds(m: int, p: float) -> float:
     Probab. Lett. 78, 135 (2008)).  The exact treatment of this waiting
     factor is in Bernardes, Praxmeyer & van Loock, PRA 83, 012323 (2011).
     """
-    if not 0.0 < p <= 1.0:
+    if isinstance(p, (bool, np.bool_)) or not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError("m must be an integer >= 1")
+    _check_count(m, "m", 1)
     return float(_expected_max_rounds(np.array([m]), np.array([p]))[0])
 
 
@@ -300,10 +300,11 @@ def range_limits(platform: PlatformParams, space: ModeSpace,
                  k_ref_inv_mm: float | None = None,
                  n_nodes: int | None = None,
                  constants: PhysicalConstants | None = None,
-                 chi: float | None = None) -> RangeLimits:
+                 noise: NoiseParams | None = None) -> RangeLimits:
     """Distances beyond which the reference mode holds no entanglement.
 
     The stored state stays entangled while chi * exp(x) < 1, with
+    chi = chi_eff of ``noise`` (zero read-out noise by default) and
     x = (t/tau)**2 for gaussian and t/tau for exponential decay.  With blind
     storage t = L0/c that bounds the elementary distance at
     c*tau*sqrt(log(1/chi)) (gaussian) or c*tau*log(1/chi) (exponential).
@@ -318,9 +319,7 @@ def range_limits(platform: PlatformParams, space: ModeSpace,
     if n_nodes is not None:
         _check_node_counts(n_nodes)
     constants = constants or PhysicalConstants()
-    chi = platform.chi if chi is None else chi
-    if not chi > 0.0:
-        raise ValueError("chi must be positive")
+    chi = (noise or NoiseParams()).effective_chi(platform)
     if platform.tau_us is not None:
         tau = platform.tau_us
         k_ref = None

@@ -93,16 +93,6 @@ def _parse_arch_list(text: str) -> list[str]:
     return names
 
 
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad number list: {exc}") from exc
-    if not values or not all(math.isfinite(v) and v > 0 for v in values):
-        raise argparse.ArgumentTypeError("expected positive finite numbers")
-    return values
-
-
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -132,16 +122,17 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _parse_float_list(text: str) -> list[float]:
+    values = [_positive_float(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected positive finite numbers")
+    return values
+
+
 def _parse_n_nodes(text: str) -> int | None:
     if text.lower() in ("inf", "infinity"):
         return None
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad node count: {exc}") from exc
-    if value < 2:
-        raise argparse.ArgumentTypeError("node count must be >= 2 or 'inf'")
-    return value
+    return _int_at_least(2)(text)
 
 
 def _record_row(record: chain.ChainPlan) -> tuple:
@@ -219,10 +210,10 @@ def _cmd_limits(args, bundle, space):
               "L0_max_ahier_km", "L_max_semihier_km")
     rows = []
     for platform in bundle.platforms:
-        chi = bundle.noise.effective_chi(platform)
         limits = chain.range_limits(platform, space, args.k_ref, args.n_nodes,
-                                    bundle.constants, chi=chi)
-        rows.append((platform.name, limits.k_ref_inv_mm, limits.tau_us, chi,
+                                    bundle.constants, bundle.noise)
+        rows.append((platform.name, limits.k_ref_inv_mm, limits.tau_us,
+                     bundle.noise.effective_chi(platform),
                      limits.l0_max_ahier_km, limits.l_max_semihier_km))
     return header, rows
 
@@ -286,9 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
     io.add_argument("--output", "-o", default=None, metavar="PATH",
                     help="output file (stdout when omitted)")
     io.add_argument("--format", choices=("csv", "json"), default="csv")
+    sweep_options = argparse.ArgumentParser(add_help=False)
+    sweep_options.add_argument("--grid", type=_parse_l_grid, default="100:1000:10",
+                               metavar="L_START:STOP:POINTS[:SCALE]")
+    sweep_options.add_argument("--n-max", type=_int_at_least(2), default=200)
+    sweep_options.add_argument("--waiting-count", choices=chain.WAITING_COUNTS,
+                               default="links")
 
     def command(name, func, help):
-        sub = subparsers.add_parser(name, parents=[io], help=help)
+        # both sweep commands (rate-curve and optimize) take the sweep options
+        parents = [io, sweep_options] if func is _cmd_rate_curve else [io]
+        sub = subparsers.add_parser(name, parents=parents, help=help)
         sub.set_defaults(func=func)
         return sub
 
@@ -312,30 +311,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = command("rate-curve", _cmd_rate_curve,
                   "optimized per-ebit transfer time versus total distance")
-    sub.add_argument("--grid", type=_parse_l_grid, default="100:1000:10",
-                     metavar="L_START:STOP:POINTS[:SCALE]")
     sub.add_argument("--platforms", type=_parse_name_list,
                      default=["WV-MUX-QM", "WV-parallel", "Temporal", "Lattice-SM"])
     sub.add_argument("--archs", type=_parse_arch_list,
                      default=["ahierarchical", "semihierarchical"])
-    sub.add_argument("--n-max", type=_int_at_least(2), default=200)
-    sub.add_argument("--waiting-count", choices=chain.WAITING_COUNTS,
-                     default="links")
     sub.add_argument("--no-spdc", action="store_true",
                      help="omit the midway-source baseline rows")
 
     # optimize is rate-curve for one platform and one architecture, no SPDC
     sub = command("optimize", _cmd_rate_curve,
                   "optimal node count and full record per total distance")
-    sub.add_argument("--grid", type=_parse_l_grid, default="100:1000:10",
-                     metavar="L_START:STOP:POINTS[:SCALE]")
     sub.add_argument("--platform", nargs=1, dest="platforms", metavar="PLATFORM",
                      default=["WV-MUX-QM"])
     sub.add_argument("--arch", nargs=1, dest="archs", choices=chain.ARCHITECTURES,
                      default=["ahierarchical"])
-    sub.add_argument("--n-max", type=_int_at_least(2), default=200)
-    sub.add_argument("--waiting-count", choices=chain.WAITING_COUNTS,
-                     default="links")
     sub.set_defaults(no_spdc=True)
 
     sub = command("limits", _cmd_limits,

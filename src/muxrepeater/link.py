@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DECOHERENCE_KINDS, PhysicalConstants, PlatformParams
+from .params import (DECOHERENCE_KINDS, PhysicalConstants, PlatformParams,
+                     _check_count)
 
 # exp() argument beyond which the visibility underflows to 0 anyway
 _EXP_CLIP = 700.0
@@ -47,25 +48,22 @@ def p_single(chi: float, eta_det: float, eta_half):
     return (chi * eta_det * eta_half) ** 2
 
 
-def p_eng(p1, modes: int, multiplexed: bool):
-    """Probability that at least one mode pairing heralds the link.
+def p_eng(p1, pairings: int):
+    """Probability that at least one of ``pairings`` mode pairings heralds.
 
-    Parallel operation pairs mode i with mode i, giving ``modes`` chances;
-    multiplexed operation accepts any pairing, giving ``modes**2``.
-    Evaluated as -expm1(n * log1p(-p1)) so it survives p1 ~ 1e-8 with
-    n ~ 3e7 without loss of precision.  ``p1`` may be an array.
+    A platform's count is :attr:`PlatformParams.pairings`: M when mode i
+    pairs with mode i, M**2 when any pairing is accepted.  Evaluated as
+    -expm1(n * log1p(-p1)) so it survives p1 ~ 1e-8 with n ~ 3e7 without
+    loss of precision.  ``p1`` may be an array.
     """
     _check_probability(p1, "p1")
-    if (isinstance(modes, bool) or not isinstance(modes, (int, np.integer))
-            or modes < 1):
-        raise ValueError("modes must be >= 1")
-    n = modes * modes if multiplexed else modes
-    if n == 1:
+    _check_count(pairings, "pairings", 1)
+    if pairings == 1:
         return p1
     # p1 = 1 gives log1p(-1) = -inf and hence exactly 1; starting from 0.0
     # keeps p1 = 0 at +0.0 instead of -expm1(-0.0) = -0.0
     with np.errstate(divide="ignore"):
-        p_g = 0.0 - np.expm1(n * np.log1p(-np.asarray(p1, dtype=float)))
+        p_g = 0.0 - np.expm1(pairings * np.log1p(-np.asarray(p1, dtype=float)))
     return float(p_g) if p_g.ndim == 0 else p_g
 
 
@@ -110,5 +108,5 @@ def link_budget(platform: PlatformParams, l0_km,
     """Evaluate the elementary-link budget for one platform (scalar or array l0)."""
     eta_half = transmission(l0_km / 2.0, constants.alpha)
     p1 = p_single(platform.chi, platform.eta_m, eta_half)
-    p_g = p_eng(p1, platform.modes, platform.multiplexed)
+    p_g = p_eng(p1, platform.pairings)
     return LinkBudget(p1=p1, p_g=p_g)

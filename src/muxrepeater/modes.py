@@ -20,21 +20,21 @@ _S_PER_M_TO_US_PER_MM = 1e3
 
 
 def gamma_from_temperature(temperature_k: float, atomic_mass_kg: float,
-                           boltzmann: float = 1.380649e-23) -> float:
+                           boltzmann: float = PhysicalConstants.boltzmann) -> float:
     """Thermal lifetime constant sqrt(m / (k_B T)) in us/mm.
 
     tau(K) = gamma/K then gives the mode lifetime in us for K in 1/mm.
     """
-    if not temperature_k > 0:   # also rejects nan
+    if not 0 < temperature_k < math.inf:   # also rejects nan and inf
         raise ValueError("temperature must be strictly positive")
-    if not atomic_mass_kg > 0:
+    if not 0 < atomic_mass_kg < math.inf:
         raise ValueError("atomic mass must be strictly positive")
     return math.sqrt(atomic_mass_kg / (boltzmann * temperature_k)) * _S_PER_M_TO_US_PER_MM
 
 
 def round_to_one_digit(x: float) -> float:
     """Round to one significant figure (1.0224e5 -> 1e5)."""
-    if not x > 0:
+    if not 0 < x < math.inf:
         raise ValueError("expected a positive value")
     scale = 10.0 ** math.floor(math.log10(x))
     return round(x / scale) * scale

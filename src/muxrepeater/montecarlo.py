@@ -32,7 +32,8 @@ import numpy as np
 from .chain import (ChainPlan, _racers, chain_time, expected_max_rounds,
                     mean_entanglement)
 from .modes import ModeSpace
-from .params import NoiseParams, PhysicalConstants, PlatformParams
+from .params import (NoiseParams, PhysicalConstants, PlatformParams,
+                     _check_count)
 
 _TRIAL_CHUNK = 1 << 16
 _PASS_BUDGET = 1 << 22
@@ -62,11 +63,7 @@ class McConfig:
 
     def __post_init__(self) -> None:
         for name, least in (("samples", 1), ("seed", 0), ("max_rounds", 1)):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))
-                    or value < least):
-                raise ValueError(f"{name} must be an integer >= {least}")
+            _check_count(getattr(self, name), name, least)
 
 
 @dataclass(frozen=True)
@@ -182,10 +179,8 @@ def mc_expected_max_rounds(n_links: int, p_g: float, cfg: McConfig) -> McEstimat
     sampled from F(j)**n_links, so the estimate independently checks
     :func:`muxrepeater.chain.expected_max_rounds`.
     """
-    if (isinstance(n_links, bool)
-            or not isinstance(n_links, (int, np.integer)) or n_links < 1):
-        raise ValueError("n_links must be >= 1")
-    if not 0.0 < p_g <= 1.0:
+    _check_count(n_links, "n_links", 1)
+    if isinstance(p_g, (bool, np.bool_)) or not 0.0 < p_g <= 1.0:
         raise ValueError("p_g must lie in (0, 1]")
     return _slowest_rounds(p_g, n_links, cfg, "slowest-link waiting rounds")
 

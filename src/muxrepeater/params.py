@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import MISSING, Field, dataclass, fields
 from pathlib import Path
@@ -30,6 +31,17 @@ _KEY_RENAMES = {"modes": "M", "k_min": "K_min", "k_max": "K_max"}
 def _require(condition: bool, name: str, message: str) -> None:
     if not condition:
         raise ConfigError(f"{_KEY_RENAMES.get(name, name)}: {message}")
+
+
+def _is_int(value) -> bool:
+    """An integer of any kind, numpy's included, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(value, name: str, least: int) -> None:
+    """The model's count rule: an integer, not a bool, at least ``least``."""
+    if not (_is_int(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}")
 
 
 @dataclass(frozen=True)
@@ -74,11 +86,13 @@ class PlatformParams:
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "name", "must be a non-empty string")
-        _require(isinstance(self.modes, int) and self.modes >= 1, "modes",
+        _require(_is_int(self.modes) and self.modes >= 1, "modes",
                  "must be an integer >= 1")
-        pairings = self.modes * self.modes if self.multiplexed else self.modes
-        _require(pairings <= sys.float_info.max, "modes", "must be small enough "
-                 "that the pairing count (M, or M**2 if multiplexed) fits a float")
+        # a Python int: a numpy M would wrap in M**2 and not serialize
+        object.__setattr__(self, "modes", int(self.modes))
+        _require(self.pairings <= sys.float_info.max, "modes",
+                 "must be small enough that the pairing count "
+                 "(M, or M**2 if multiplexed) fits a float")
         _require(0.0 < self.chi < 1.0, "chi", "must lie in (0, 1)")
         for field_name in ("eta_r", "eta_x", "eta_s", "eta_m"):
             value = getattr(self, field_name)
@@ -92,6 +106,11 @@ class PlatformParams:
                      "mode-dependent lifetime requires gaussian decoherence")
         else:
             _require(self.tau_ms > 0, "tau_ms", "must be strictly positive")
+
+    @property
+    def pairings(self) -> int:
+        """Mode pairings a link may herald in: M, or M**2 if multiplexed."""
+        return self.modes * self.modes if self.multiplexed else self.modes
 
     @property
     def tau_us(self) -> float | None:
@@ -213,10 +232,6 @@ def default_bundle() -> ParameterBundle:
 _SECTIONS = {"constants": PhysicalConstants, "mode_space": ModeSpaceParams,
              "noise": NoiseParams, "spdc": SpdcParams,
              "platforms": PlatformParams}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .chain import ChainPlan, _chain_block, _rows
 from .modes import ModeSpace
-from .params import NoiseParams, PhysicalConstants, PlatformParams
+from .params import (NoiseParams, PhysicalConstants, PlatformParams,
+                     _check_count)
 
 # (L, N) entries per chain block; a block holds at least one distance
 _BLOCK_ENTRIES = 8192
@@ -38,9 +39,7 @@ def sweep(l_grid_km: Iterable[float], platforms: Sequence[PlatformParams],
     ``_BLOCK_ENTRIES`` (L, N) entries, and each is dropped after its argmax;
     the spectral averages of a slice are kept until the slice ends.
     """
-    if (isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer))
-            or n_max < 2):
-        raise ValueError(f"n_max must be an integer >= 2, got {n_max!r}")
+    _check_count(n_max, "n_max", 2)
     n_values = np.arange(2, n_max + 1)
     l_values = np.array(list(l_grid_km), dtype=float)
     step = max(1, _BLOCK_ENTRIES // n_values.size)

@@ -177,8 +177,9 @@ class TestWaitingFactor:
             pytest.approx(EMAX_3_LINKS_P02, rel=1e-12)
 
     def test_rejects_zero_probability(self):
-        with pytest.raises(ValueError):
-            expected_max_rounds(2, 0.0)
+        for p in (0.0, True, np.True_):
+            with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
+                expected_max_rounds(2, p)
 
     def test_node_count_switch(self):
         # counting one process per node races one more variable than per link
@@ -469,19 +470,39 @@ class TestRangeLimits:
 
     def test_unit_chi_kills_range(self):
         bundle, space = bundle_and_space()
-        wv = bundle.platform("WV-MUX-QM")
-        limits = range_limits(wv, space, 10.0, None, bundle.constants, chi=1.0)
+        wv = dataclasses.replace(bundle.platform("WV-MUX-QM"), chi=0.5,
+                                 eta_r=1.0)
+        noise = NoiseParams(B=0.5)
+        assert noise.effective_chi(wv) == 1.0
+        limits = range_limits(wv, space, 10.0, None, bundle.constants, noise)
         assert limits.l0_max_ahier_km == 0.0
         assert limits.l_max_semihier_km == 0.0
 
     def test_chi_past_one_kills_range(self):
         bundle, space = bundle_and_space()
         wv = bundle.platform("WV-MUX-QM")
-        limits = range_limits(wv, space, 10.0, 5, bundle.constants, chi=1.5)
+        noise = NoiseParams(B=1.0)
+        assert noise.effective_chi(wv) > 1.0
+        limits = range_limits(wv, space, 10.0, 5, bundle.constants, noise)
         assert limits.l0_max_ahier_km == 0.0
         assert limits.l_max_semihier_km == 0.0
-        with pytest.raises(ValueError):
-            range_limits(wv, space, 10.0, None, bundle.constants, chi=0.0)
+
+    @pytest.mark.parametrize("name, n_nodes, l0_max, l_max", [
+        ("WV-MUX-QM", None, 3313.2569144411877, 2744.417845273085),
+        ("WV-MUX-QM", 5, 3313.2569144411877, 2195.5342762184678),
+        ("WV-parallel", None, 3313.2569144411877, 2744.417845273085),
+        ("Temporal", None, 145.09915723591462, 72.54957861795731),
+        ("Temporal", 5, 145.09915723591462, 58.03966289436585),
+        ("Lattice-SM", None, 121533.16658438937, 60766.583292194686),
+        ("Lattice-SM", 5, 121533.16658438937, 48613.26663375575)])
+    def test_noise_enters_through_effective_chi(self, name, n_nodes, l0_max,
+                                                l_max):
+        # frozen from the reach at chi = chi + B/eta_r with B = 0.01
+        bundle, space = bundle_and_space()
+        limits = range_limits(bundle.platform(name), space, 10.0, n_nodes,
+                              bundle.constants, NoiseParams(B=0.01))
+        assert limits.l0_max_ahier_km == pytest.approx(l0_max, rel=1e-12)
+        assert limits.l_max_semihier_km == pytest.approx(l_max, rel=1e-12)
 
     @pytest.mark.parametrize("n_nodes", [0, 1, -3])
     def test_rejects_chains_below_two_nodes(self, n_nodes):

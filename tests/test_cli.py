@@ -70,7 +70,9 @@ class TestCommands:
         ["ef-curve", "--chi", "2"],
         ["ef-curve", "--chi", "1"],
         ["ef-curve", "--modes", "inf"],
-        ["limits", "--k-ref", "inf"]])
+        ["ef-curve", "--modes", "10,-1"],
+        ["limits", "--k-ref", "inf"],
+        ["limits", "--n-nodes", "1"]])
     def test_out_of_range_number_exits_2(self, argv, capsys):
         assert run(argv) == 2
         capsys.readouterr()

@@ -61,40 +61,42 @@ class TestPairProbability:
 
 class TestHeraldingProbability:
     def test_boundaries(self):
-        assert p_eng(0.0, 100, True) == 0.0
-        assert p_eng(1.0, 100, True) == 1.0
-        assert p_eng(0.0, 100, False) == 0.0
-        assert p_eng(1.0, 3, False) == 1.0
+        assert p_eng(0.0, 100 * 100) == 0.0
+        assert p_eng(1.0, 100 * 100) == 1.0
+        assert p_eng(0.0, 100) == 0.0
+        assert p_eng(1.0, 3) == 1.0
 
     def test_frozen_value(self):
-        assert p_eng(1e-4, 100, True) == pytest.approx(P_ENG_1E4_100, rel=1e-12)
+        assert p_eng(1e-4, 100 * 100) == pytest.approx(P_ENG_1E4_100, rel=1e-12)
 
     def test_single_mode_is_identity(self):
         for p1 in (1e-17, 1e-9, 0.3, 0.9999):
-            assert p_eng(p1, 1, False) == p1
-            assert p_eng(p1, 1, True) == p1
+            assert p_eng(p1, 1) == p1
 
     @pytest.mark.parametrize("modes", [0, 2.5, True, math.nan])
     def test_rejects_non_integer_modes(self, modes):
-        with pytest.raises(ValueError, match="modes"):
-            p_eng(0.1, modes, False)
+        with pytest.raises(ValueError, match="pairings"):
+            p_eng(0.1, modes)
 
-    def test_multiplexed_equals_parallel_squared(self):
-        for p1 in (1e-10, 1e-6, 0.01, 0.5):
-            for m in (2, 50, 300):
-                assert p_eng(p1, m, True) == p_eng(p1, m * m, False)
+    def test_budget_uses_platform_pairings(self):
+        constants = PhysicalConstants()
+        for platform in builtin_platforms():
+            budget = link_budget(platform, 150.0, constants)
+            assert budget.p_g == p_eng(budget.p1, platform.pairings)
+            m = platform.modes
+            assert platform.pairings == (m * m if platform.multiplexed else m)
 
     @given(st.floats(1e-12, 1.0), st.integers(1, 10_000))
     def test_monotone_in_modes(self, p1, m):
-        assert p_eng(p1, m + 1, False) >= p_eng(p1, m, False)
+        assert p_eng(p1, m + 1) >= p_eng(p1, m)
 
     @given(st.floats(1e-12, 0.999), st.integers(1, 10_000))
     def test_monotone_in_p1(self, p1, m):
-        assert p_eng(min(1.0, p1 * 1.01), m, False) >= p_eng(p1, m, False)
+        assert p_eng(min(1.0, p1 * 1.01), m) >= p_eng(p1, m)
 
     def test_survives_tiny_p1_huge_exponent(self):
         p1 = 1e-8
-        val = p_eng(p1, 5500, True)
+        val = p_eng(p1, 5500 * 5500)
         assert val == pytest.approx(-math.expm1(-5500 ** 2 * p1), rel=1e-6)
         assert 0.0 < val < 1.0
 

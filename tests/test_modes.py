@@ -39,12 +39,16 @@ class TestThermalConstant:
             gamma_from_temperature(math.nan, RB87_MASS)
         with pytest.raises(ValueError, match="mass"):
             gamma_from_temperature(1e-6, math.nan)
+        with pytest.raises(ValueError, match="temperature"):
+            gamma_from_temperature(math.inf, RB87_MASS)
+        with pytest.raises(ValueError, match="mass"):
+            gamma_from_temperature(1e-6, math.inf)
 
     def test_rounding_policy(self):
         assert round_to_one_digit(GAMMA_EXACT) == 1e5
         assert round_to_one_digit(9.6e4) == 1e5
         assert round_to_one_digit(5.112e4) == 5e4
-        for x in (0.0, -3.0, math.nan):
+        for x in (0.0, -3.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="positive"):
                 round_to_one_digit(x)
 

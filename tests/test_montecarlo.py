@@ -80,8 +80,9 @@ class TestExpectedMaxRounds:
                                                     max_rounds=1))
 
     def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            mc_expected_max_rounds(2, 0.0, McConfig(samples=10))
+        for p_g in (0.0, True, np.True_):
+            with pytest.raises(ValueError, match=r"p_g must lie in \(0, 1\]"):
+                mc_expected_max_rounds(2, p_g, McConfig(samples=10))
 
     @pytest.mark.parametrize("n_links", [0, 2.5, math.nan, True])
     def test_rejects_non_integer_link_count(self, n_links):

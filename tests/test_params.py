@@ -1,9 +1,16 @@
 import dataclasses
 import json
+import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from muxrepeater.chain import expected_max_rounds
+from muxrepeater.link import p_eng
+from muxrepeater.modes import ModeSpace
+from muxrepeater.montecarlo import McConfig, mc_expected_max_rounds
 from muxrepeater.params import (
     _SECTIONS,
     ConfigError,
@@ -19,6 +26,7 @@ from muxrepeater.params import (
     load_config,
     parse_config,
 )
+from muxrepeater.sweep import sweep
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -120,6 +128,18 @@ class TestValidation:
             with pytest.raises(ConfigError, match="^M: .*fits a float"):
                 PlatformParams(modes=modes, multiplexed=multiplexed, **common)
 
+    def test_pairings(self):
+        common = dict(name="x", chi=0.1, eta_r=0.5, tau_ms=1.0)
+        assert PlatformParams(modes=7, **common).pairings == 7
+        assert PlatformParams(modes=7, multiplexed=True, **common).pairings == 49
+        # M**2 in int64 would wrap past 2**63
+        big = PlatformParams(modes=np.int64(4_000_000_000), multiplexed=True,
+                             **common)
+        assert big.pairings == 16 * 10**18
+        assert type(big.modes) is int
+        bundle = dataclasses.replace(default_bundle(), platforms=(big,))
+        assert parse_config(json.loads(json.dumps(dump_config(bundle)))) == bundle
+
     def test_noise_nonnegative(self):
         with pytest.raises(ConfigError, match="B"):
             NoiseParams(B=-1e-3)
@@ -127,6 +147,51 @@ class TestValidation:
     def test_spdc_visibility(self):
         with pytest.raises(ConfigError, match="visibility"):
             SpdcParams(visibility=1.2)
+
+
+def _sweep_n_max(n_max):
+    bundle = default_bundle()
+    space = ModeSpace.from_params(bundle.mode_space, bundle.constants)
+    return sweep([550.0], [bundle.platform("WV-MUX-QM")], ["ahierarchical"],
+                 bundle.constants, space, n_max=n_max)
+
+
+# every entry point that takes a count: (call, least legal count, message)
+COUNT_ENTRY_POINTS = {
+    "PlatformParams-modes": (
+        lambda n: PlatformParams(name="x", modes=n, chi=0.1, eta_r=0.5,
+                                 tau_ms=1.0),
+        1, "M: must be an integer >= 1"),
+    "McConfig-samples": (lambda n: McConfig(samples=n), 1, None),
+    "McConfig-seed": (lambda n: McConfig(samples=1, seed=n), 0, None),
+    "McConfig-max_rounds": (lambda n: McConfig(samples=1, max_rounds=n), 1,
+                            None),
+    "sweep-n_max": (_sweep_n_max, 2, None),
+    "expected_max_rounds-m": (lambda n: expected_max_rounds(n, 0.3), 1, None),
+    "p_eng-pairings": (lambda n: p_eng(0.1, n), 1, None),
+    "mc_expected_max_rounds-n_links": (
+        lambda n: mc_expected_max_rounds(n, 0.5, McConfig(samples=10)), 1, None),
+}
+
+
+class TestCountRule:
+    """One rule for counts: an integer of any kind but bool, at least k."""
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", ["True", "2.5", "nan", "least-1"])
+    def test_rejects(self, entry, bad):
+        call, least, message = COUNT_ENTRY_POINTS[entry]
+        value = {"True": True, "2.5": 2.5, "nan": math.nan,
+                 "least-1": least - 1}[bad]
+        name = entry.split("-")[1]
+        message = message or f"{name} must be an integer >= {least}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    def test_accepts_numpy_integer(self, entry):
+        call, least, _ = COUNT_ENTRY_POINTS[entry]
+        call(np.int64(least))
 
 
 class TestConfigIO:
