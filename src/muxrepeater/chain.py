@@ -17,7 +17,7 @@ import numpy as np
 
 from . import link as link_physics
 from . import werner
-from .modes import ModeSpace
+from .modes import ModeSpace, tau_of_k
 from .params import (NoiseParams, PhysicalConstants, PlatformParams,
                      _check_count)
 
@@ -312,7 +312,8 @@ def range_limits(platform: PlatformParams, space: ModeSpace,
     (N-1)/N * tau/2 * c * log(1/chi) on the total distance
     (``n_nodes=None`` takes the many-node limit); it is not the model's own
     zero point, which can lie further out.  Fixed-lifetime platforms use
-    their own tau; mode-dependent platforms use tau(K_ref).  At chi >= 1
+    their own tau; mode-dependent platforms use tau(K_ref).  log(1/chi) is
+    evaluated as -log(chi), finite for every positive chi.  At chi >= 1
     (read-out noise can push chi_eff there) no distance is entangled and
     both limits are 0.
     """
@@ -327,9 +328,9 @@ def range_limits(platform: PlatformParams, space: ModeSpace,
         if k_ref_inv_mm is None or not k_ref_inv_mm > 0:
             raise ValueError("a positive K_ref is required for "
                              "mode-dependent lifetimes")
-        tau = space.gamma / k_ref_inv_mm
+        tau = tau_of_k(k_ref_inv_mm, space.gamma)
         k_ref = k_ref_inv_mm
-    log_gain = max(0.0, math.log(1.0 / chi))
+    log_gain = max(0.0, -math.log(chi))
     reach = (math.sqrt(log_gain) if platform.decoherence == "gaussian"
              else log_gain)
     l0_max = constants.c * tau * reach

@@ -196,7 +196,7 @@ def _cmd_rate_curve(args, bundle, space):
         per_pair = replace(bundle.spdc, visibility=1.0)
         for l_km in args.grid:
             t_s = chain.spdc_time(l_km, bundle.spdc, bundle.constants) * 1e-6
-            rate = 1.0 / t_s if math.isfinite(t_s) and t_s > 0 else 0.0
+            rate = 1.0 / t_s
             t_pair_s = chain.spdc_time(l_km, per_pair, bundle.constants) * 1e-6
             spdc = {"platform": "SPDC", "architecture": "direct",
                     "L_km": l_km, "mean_EF": ef, "T_tot_s": t_pair_s,
@@ -277,17 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
     io.add_argument("--output", "-o", default=None, metavar="PATH",
                     help="output file (stdout when omitted)")
     io.add_argument("--format", choices=("csv", "json"), default="csv")
+    waiting = argparse.ArgumentParser(add_help=False)
+    waiting.add_argument("--waiting-count", choices=chain.WAITING_COUNTS,
+                         default="links")
     sweep_options = argparse.ArgumentParser(add_help=False)
     sweep_options.add_argument("--grid", type=_parse_l_grid, default="100:1000:10",
                                metavar="L_START:STOP:POINTS[:SCALE]")
     sweep_options.add_argument("--n-max", type=_int_at_least(2), default=200)
-    sweep_options.add_argument("--waiting-count", choices=chain.WAITING_COUNTS,
-                               default="links")
+    sweep = [sweep_options, waiting]   # rate-curve and optimize
 
-    def command(name, func, help):
-        # both sweep commands (rate-curve and optimize) take the sweep options
-        parents = [io, sweep_options] if func is _cmd_rate_curve else [io]
-        sub = subparsers.add_parser(name, parents=parents, help=help)
+    def command(name, func, help, parents=()):
+        sub = subparsers.add_parser(name, parents=[io, *parents], help=help)
         sub.set_defaults(func=func)
         return sub
 
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="effective excitation probability")
 
     sub = command("rate-curve", _cmd_rate_curve,
-                  "optimized per-ebit transfer time versus total distance")
+                  "optimized per-ebit transfer time versus total distance", sweep)
     sub.add_argument("--platforms", type=_parse_name_list,
                      default=["WV-MUX-QM", "WV-parallel", "Temporal", "Lattice-SM"])
     sub.add_argument("--archs", type=_parse_arch_list,
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # optimize is rate-curve for one platform and one architecture, no SPDC
     sub = command("optimize", _cmd_rate_curve,
-                  "optimal node count and full record per total distance")
+                  "optimal node count and full record per total distance", sweep)
     sub.add_argument("--platform", nargs=1, dest="platforms", metavar="PLATFORM",
                      default=["WV-MUX-QM"])
     sub.add_argument("--arch", nargs=1, dest="archs", choices=chain.ARCHITECTURES,
@@ -339,14 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="L_START:STOP:POINTS[:SCALE]")
 
     sub = command("mc-validate", _cmd_mc_validate,
-                  "analytic versus Monte Carlo comparison table")
+                  "analytic versus Monte Carlo comparison table", [waiting])
     sub.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
     sub.add_argument("--seed", type=_int_at_least(0), default=42,
                      help="base seed; cell i uses seed+i, the chain check seed+1000")
     sub.add_argument("--chain-samples", type=_int_at_least(0), default=100_000,
                      help="trials for the end-to-end chain check (0 skips it)")
-    sub.add_argument("--waiting-count", choices=chain.WAITING_COUNTS,
-                     default="links")
 
     return parser
 

@@ -9,15 +9,13 @@ the memory decoherence law.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import (DECOHERENCE_KINDS, PhysicalConstants, PlatformParams,
                      _check_count)
-
-# exp() argument beyond which the visibility underflows to 0 anyway
-_EXP_CLIP = 700.0
 
 
 def transmission(z_km, alpha_db_per_km: float):
@@ -58,6 +56,8 @@ def p_eng(p1, pairings: int):
     """
     _check_probability(p1, "p1")
     _check_count(pairings, "pairings", 1)
+    if pairings > sys.float_info.max:
+        raise ValueError("pairings must fit a float")
     if pairings == 1:
         return p1
     # p1 = 1 gives log1p(-1) = -inf and hence exactly 1; starting from 0.0
@@ -82,13 +82,12 @@ def visibility_at(t_us, tau_us, chi_eff: float, decoherence: str = "gaussian"):
         raise ValueError("storage time must be non-negative")
     if decoherence not in DECOHERENCE_KINDS:
         raise ValueError(f"unknown decoherence kind {decoherence!r}")
-    # an x past the float range is inf, and inf gives V = 0 like any x >= clip
+    # exp(x) overflows to inf past x ~ 709.78, and 1/(1 + inf) is exactly 0
     with np.errstate(over="ignore"):
         x = np.asarray(t_us, dtype=float) / np.asarray(tau_us, dtype=float)
         if decoherence == "gaussian":
             x = x * x
-    v = 1.0 / (1.0 + 2.0 * chi_eff * np.exp(np.minimum(x, _EXP_CLIP)))
-    v = np.where(x >= _EXP_CLIP, 0.0, v)
+        v = 1.0 / (1.0 + 2.0 * chi_eff * np.exp(x))
     return float(v) if v.ndim == 0 else v
 
 

@@ -44,7 +44,9 @@ def tau_of_k(k_inv_mm, gamma_us_mm: float):
     """Mode lifetime gamma/K in us; accepts scalars or arrays."""
     if not np.all(np.asarray(k_inv_mm) > 0):
         raise ValueError("wavevector modulus must be strictly positive")
-    return gamma_us_mm / k_inv_mm
+    # a K below gamma/DBL_MAX gives tau = inf: that mode never decays
+    with np.errstate(over="ignore"):
+        return gamma_us_mm / k_inv_mm
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from muxrepeater.chain import (
     range_limits,
     spdc_time,
 )
-from muxrepeater.modes import ModeSpace
+from muxrepeater.modes import ModeSpace, tau_of_k
 from muxrepeater.params import (
     NoiseParams,
     PhysicalConstants,
@@ -503,6 +503,24 @@ class TestRangeLimits:
                               bundle.constants, NoiseParams(B=0.01))
         assert limits.l0_max_ahier_km == pytest.approx(l0_max, rel=1e-12)
         assert limits.l_max_semihier_km == pytest.approx(l_max, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["Temporal", "WV-MUX-QM"])
+    def test_chi_below_one_over_float_max_has_finite_reach(self, name):
+        # 1/chi overflows at chi = 1e-310; -log(chi) = 713.8 does not
+        bundle, space = bundle_and_space()
+        platform = dataclasses.replace(bundle.platform(name), chi=1e-310)
+        limits = range_limits(platform, space, 10.0, None, bundle.constants)
+        log_gain = -math.log(1e-310)
+        if platform.tau_us is None:
+            tau, reach = tau_of_k(10.0, space.gamma), math.sqrt(log_gain)
+        else:
+            tau, reach = platform.tau_us, log_gain
+        c = bundle.constants.c
+        assert limits.tau_us == tau
+        assert limits.l0_max_ahier_km == pytest.approx(c * tau * reach,
+                                                       rel=1e-12)
+        assert limits.l_max_semihier_km == pytest.approx(tau / 2 * c * log_gain,
+                                                         rel=1e-12)
 
     @pytest.mark.parametrize("n_nodes", [0, 1, -3])
     def test_rejects_chains_below_two_nodes(self, n_nodes):

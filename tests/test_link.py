@@ -73,7 +73,8 @@ class TestHeraldingProbability:
         for p1 in (1e-17, 1e-9, 0.3, 0.9999):
             assert p_eng(p1, 1) == p1
 
-    @pytest.mark.parametrize("modes", [0, 2.5, True, math.nan])
+    @pytest.mark.parametrize("modes", [0, 2.5, True, math.nan,
+                                       pytest.param(10**400, id="10**400")])
     def test_rejects_non_integer_modes(self, modes):
         with pytest.raises(ValueError, match="pairings"):
             p_eng(0.1, modes)
@@ -116,12 +117,21 @@ class TestVisibilityDecay:
         assert visibility_at(1e9, 1000.0, 0.05) == 0.0
         assert visibility_at(1e9, 1000.0, 0.05, "exponential") == 0.0
         # t/tau overflows for both laws, and its square for the gaussian
-        # one, without a warning
+        # one, and exp(x) past x ~ 709.78, without a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert visibility_at(1e300, 1e-10, 0.05) == 0.0
             assert visibility_at(1e300, 1e-10, 0.05, "exponential") == 0.0
             assert visibility_at(1e200, 1e-10, 0.05) == 0.0
+            for x in (710.0, math.inf):
+                assert visibility_at(x, 1.0, 0.9, "exponential") == 0.0
+
+    def test_tiny_chi_keeps_its_visibility_past_x_700(self):
+        # past x = 700, V follows the formula until exp(x) overflows
+        assert visibility_at(705.0, 1.0, 1e-310, "exponential") == \
+            pytest.approx(1.0 / (1.0 + 2e-310 * math.exp(705.0)), rel=1e-12)
+        v = visibility_at(705.0, 1.0, 0.05, "exponential")
+        assert 0.0 < v < 1e-300
 
     def test_monotone_in_time(self):
         t = np.linspace(0.0, 5e4, 400)

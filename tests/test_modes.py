@@ -73,6 +73,9 @@ class TestLifetimeLaw:
         with pytest.raises(ValueError):
             tau_of_k(np.array([10.0, np.nan]), 1e5)
 
+    def test_wavevector_below_gamma_over_float_max_never_decays(self):
+        assert tau_of_k(np.array([1e-320]), 1e5).tolist() == [math.inf]
+
     def test_band_edge_ordering(self):
         space = ModeSpace.default()
         assert tau_of_k(space.k_min, space.gamma) >= tau_of_k(space.k_max, space.gamma)

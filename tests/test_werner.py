@@ -157,6 +157,12 @@ class TestAverageEbitContent:
         assert average_ef(space, 750.0, 0.05) == \
             pytest.approx(AVG_EF_T750, rel=1e-6)
 
+    def test_chi_below_e_minus_700(self):
+        # 200,000-point midpoint rule over the band; the whole band holds
+        # entanglement at 2660 us, where (t K / gamma)**2 reaches 707.6
+        assert average_ef(ModeSpace.default(), 2660.0, 1e-310) == \
+            pytest.approx(0.99998812, rel=1e-6)
+
     def test_converges_to_high_order_cutoff_reference(self, monkeypatch):
         # 64 nodes up to the entanglement cutoff against 1024 nodes; a rule
         # that straddled the cutoff kink missed by 6.2e-6 at 3000 us
