@@ -303,22 +303,20 @@ def range_limits(platform: PlatformParams, space: ModeSpace,
                  noise: NoiseParams | None = None) -> RangeLimits:
     """Distances beyond which the reference mode holds no entanglement.
 
-    The stored state stays entangled while chi * exp(x) < 1, with
-    chi = chi_eff of ``noise`` (zero read-out noise by default) and
-    x = (t/tau)**2 for gaussian and t/tau for exponential decay.  With blind
-    storage t = L0/c that bounds the elementary distance at
-    c*tau*sqrt(log(1/chi)) (gaussian) or c*tau*log(1/chi) (exponential).
-    The semihierarchical limit is the paper's closed form
-    (N-1)/N * tau/2 * c * log(1/chi) on the total distance
-    (``n_nodes=None`` takes the many-node limit); it is not the model's own
-    zero point, which can lie further out.  Fixed-lifetime platforms use
-    their own tau; mode-dependent platforms use tau(K_ref).  log(1/chi) is
-    evaluated as -log(chi), finite for every positive chi.  At chi >= 1
-    (read-out noise can push chi_eff there) no distance is entangled and
-    both limits are 0.
+    The stored state stays entangled for t/tau inside
+    :func:`link.entangled_window` of chi = chi_eff of ``noise`` (zero
+    read-out noise by default).  With blind storage t = L0/c that bounds the
+    elementary distance at c*tau*window.  The semihierarchical limit is the
+    paper's closed form (N-1)/N * tau/2 * c * log(1/chi) on the total
+    distance, log(1/chi) being the exponential window (``n_nodes=None``
+    takes the many-node limit); it is not the model's own zero point, which
+    can lie further out.  Fixed-lifetime platforms use their own tau;
+    mode-dependent platforms use tau(K_ref).  At chi >= 1 (read-out noise
+    can push chi_eff there) the window is 0 and so are both limits, even
+    where tau is inf.
     """
     if n_nodes is not None:
-        _check_node_counts(n_nodes)
+        _check_count(n_nodes, "n_nodes", 2)
     constants = constants or PhysicalConstants()
     chi = (noise or NoiseParams()).effective_chi(platform)
     if platform.tau_us is not None:
@@ -330,12 +328,11 @@ def range_limits(platform: PlatformParams, space: ModeSpace,
                              "mode-dependent lifetimes")
         tau = tau_of_k(k_ref_inv_mm, space.gamma)
         k_ref = k_ref_inv_mm
-    log_gain = max(0.0, -math.log(chi))
-    reach = (math.sqrt(log_gain) if platform.decoherence == "gaussian"
-             else log_gain)
-    l0_max = constants.c * tau * reach
+    reach = link_physics.entangled_window(chi, platform.decoherence)
+    log_gain = link_physics.entangled_window(chi, "exponential")
+    l0_max = constants.c * tau * reach if reach else 0.0
     factor = 1.0 if n_nodes is None else (n_nodes - 1) / n_nodes
-    l_max = factor * (tau / 2.0) * constants.c * log_gain
+    l_max = factor * (tau / 2.0) * constants.c * log_gain if log_gain else 0.0
     return RangeLimits(l0_max_ahier_km=l0_max, l_max_semihier_km=l_max,
                        k_ref_inv_mm=k_ref, tau_us=tau)
 

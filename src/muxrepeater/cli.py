@@ -251,16 +251,14 @@ def _cmd_mc_validate(args, bundle, space):
         rows.append(("waiting_rounds", n_nodes, p_g, analytic,
                      estimate.mean, estimate.std_error, z, z <= 3.0))
     if args.chain_samples > 0:
-        platform = bundle.platform("WV-MUX-QM")
-        plan = chain.chain_time("ahierarchical", platform, 5, 550.0,
-                                bundle.constants, space, bundle.noise)
         cfg = montecarlo.McConfig(samples=args.chain_samples,
                                   seed=args.seed + 1000)
-        result = montecarlo.mc_chain_time("ahierarchical", platform, 5, 550.0,
-                                          bundle.constants, space, cfg,
-                                          bundle.noise)
+        result = montecarlo.mc_chain_time(
+            "ahierarchical", bundle.platform("WV-MUX-QM"), 5, 550.0,
+            bundle.constants, space, cfg, bundle.noise)
+        plan = result.plan
         z = _z_score(plan.t_tot_us, result.t_tot_us)
-        rows.append(("chain_t_tot_us", 5, plan.p_g, plan.t_tot_us,
+        rows.append(("chain_t_tot_us", plan.n_nodes, plan.p_g, plan.t_tot_us,
                      result.t_tot_us.mean, result.t_tot_us.std_error, z,
                      z <= 3.0))
     return header, rows
@@ -295,14 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = command("pg-curve", _cmd_pg_curve,
                   "link heralding probability versus elementary distance")
-    sub.add_argument("--grid", type=_parse_grid, default=_parse_grid("10:250:100"),
+    sub.add_argument("--grid", type=_parse_grid, default="10:250:100",
                      metavar="L0_START:STOP:POINTS[:SCALE]")
     sub.add_argument("--platforms", type=_parse_name_list,
                      default=["WV-MUX-QM", "WV-parallel", "Temporal"])
 
     sub = command("ef-curve", _cmd_ef_curve,
                   "per-mode and mode-averaged ebit content versus distance")
-    sub.add_argument("--grid", type=_parse_grid, default=_parse_grid("10:400:100"),
+    sub.add_argument("--grid", type=_parse_grid, default="10:400:100",
                      metavar="L0_START:STOP:POINTS[:SCALE]")
     sub.add_argument("--modes", type=_parse_float_list, default=[10.0, 100.0, 1000.0],
                      help="wavevector moduli (1/mm) to trace individually")
@@ -335,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="node count for the held-architecture bound ('inf' default)")
 
     sub = command("spdc", _cmd_spdc, "per-ebit time of the midway-source baseline")
-    sub.add_argument("--grid", type=_parse_grid, default=_parse_grid("100:1000:10"),
+    sub.add_argument("--grid", type=_parse_grid, default="100:1000:10",
                      metavar="L_START:STOP:POINTS[:SCALE]")
 
     sub = command("mc-validate", _cmd_mc_validate,

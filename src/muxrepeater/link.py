@@ -9,6 +9,7 @@ the memory decoherence law.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -89,6 +90,17 @@ def visibility_at(t_us, tau_us, chi_eff: float, decoherence: str = "gaussian"):
             x = x * x
         v = 1.0 / (1.0 + 2.0 * chi_eff * np.exp(x))
     return float(v) if v.ndim == 0 else v
+
+
+def entangled_window(chi_eff: float, decoherence: str) -> float:
+    """t/tau at which :func:`visibility_at` reaches 1/3: sqrt(-ln chi_eff)
+    for gaussian, -ln chi_eff for exponential decay, 0 at chi_eff >= 1."""
+    if not chi_eff > 0:   # also rejects nan
+        raise ValueError("chi_eff must be strictly positive")
+    if decoherence not in DECOHERENCE_KINDS:
+        raise ValueError(f"unknown decoherence kind {decoherence!r}")
+    x_c = max(0.0, -math.log(chi_eff))
+    return math.sqrt(x_c) if decoherence == "gaussian" else x_c
 
 
 @dataclass(frozen=True)

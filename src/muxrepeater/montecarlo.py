@@ -77,6 +77,7 @@ class McEstimate:
 class ChainMcResult:
     t_tot_us: McEstimate
     mean_ef: McEstimate
+    plan: ChainPlan      # the chain_time record the samplers read
 
 
 def _check_flagged(flagged: int, samples: int, what: str) -> None:
@@ -203,7 +204,7 @@ def _mc_ahierarchical(plan: ChainPlan, cfg: McConfig) -> ChainMcResult:
                             std_error=rounds_est.std_error * t_rep,
                             samples_used=cfg.samples),
         mean_ef=McEstimate(mean=plan.mean_ef, std_error=0.0,
-                           samples_used=cfg.samples))
+                           samples_used=cfg.samples), plan=plan)
 
 
 def _earlier_pass_rounds(rng, passes, p: float, racers: int) -> np.ndarray:
@@ -265,7 +266,7 @@ def _mc_semihierarchical(plan: ChainPlan, racers: int, platform, space,
     _check_flagged(flagged, cfg.samples, "held-protocol rounds")
     return ChainMcResult(
         t_tot_us=_estimate(*sums[:2].tolist(), cfg.samples),
-        mean_ef=_estimate(*sums[2:].tolist(), cfg.samples))
+        mean_ef=_estimate(*sums[2:].tolist(), cfg.samples), plan=plan)
 
 
 def mc_chain_time(architecture: str, platform: PlatformParams, n_nodes: int,

@@ -96,14 +96,12 @@ def _average_ef(space: ModeSpace, t_us, chi_eff: float) -> np.ndarray:
 
     Integrates ef_of_mode(K, t) * K over [k_min, k_hi] and divides by the
     integral of K over the band.  A mode holds entanglement only while
-    chi_eff*exp((t*K/gamma)**2) < 1, i.e. below the kink at
-    K_c(t) = gamma*sqrt(ln(1/chi_eff))/t, so k_hi = min(K_max, K_c(t)) and
-    the rule never straddles the kink; a k_hi at or below k_min gives zero.
+    t*K/gamma is inside :func:`link.entangled_window`, i.e. below the kink
+    at K_c(t) = gamma*window/t, so k_hi = min(K_max, K_c(t)) and the rule
+    never straddles the kink; a k_hi at or below k_min gives zero.
     """
-    if not chi_eff > 0:   # also rejects nan
-        raise ValueError("chi_eff must be strictly positive")
+    k_cut = space.gamma * link.entangled_window(chi_eff, "gaussian")
     t = np.asarray(t_us, dtype=float)
-    k_cut = space.gamma * math.sqrt(max(0.0, -math.log(chi_eff)))
     # at t = 0 the whole band is live, whatever K_c
     k_hi = np.minimum(space.k_max, np.divide(
         k_cut, t, out=np.full(t.shape, np.inf), where=t > 0.0))

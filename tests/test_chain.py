@@ -148,7 +148,10 @@ class TestChainProbabilities:
             "range_limits": lambda: range_limits(wv, space, 10.0, n_nodes,
                                                  bundle.constants),
         }[helper]
-        with pytest.raises(ValueError, match="node counts must be integers"):
+        # range_limits takes one scalar count and checks it as the params do
+        message = {"p_enc_chain": "node counts must be integers",
+                   "range_limits": "n_nodes must be an integer >= 2"}[helper]
+        with pytest.raises(ValueError, match=message):
             call()
 
     @pytest.mark.parametrize("n_nodes", [1, np.array([2, 1])],
@@ -526,8 +529,27 @@ class TestRangeLimits:
     def test_rejects_chains_below_two_nodes(self, n_nodes):
         bundle, space = bundle_and_space()
         wv = bundle.platform("WV-MUX-QM")
-        with pytest.raises(ValueError, match="a chain needs at least 2 nodes"):
+        with pytest.raises(ValueError, match="n_nodes must be an integer >= 2"):
             range_limits(wv, space, 10.0, n_nodes, bundle.constants)
+
+    def test_node_count_past_int64_is_the_many_node_limit(self):
+        bundle, space = bundle_and_space()
+        wv = bundle.platform("WV-MUX-QM")
+        assert range_limits(wv, space, 10.0, 10 ** 20, bundle.constants) == \
+            range_limits(wv, space, 10.0, None, bundle.constants)
+
+    @pytest.mark.parametrize("b", [0.5, 1.0], ids=["chi_eff=1", "chi_eff=1.5"])
+    @pytest.mark.parametrize("n_nodes", [None, 5])
+    def test_closed_window_has_no_reach_at_infinite_lifetime(self, b, n_nodes):
+        # tau(1e-320) = inf, and inf * 0 would be nan
+        bundle, space = bundle_and_space()
+        wv = dataclasses.replace(bundle.platform("WV-MUX-QM"), chi=0.5,
+                                 eta_r=1.0)
+        limits = range_limits(wv, space, 1e-320, n_nodes, bundle.constants,
+                              NoiseParams(B=b))
+        assert limits.tau_us == math.inf
+        assert limits.l0_max_ahier_km == 0.0
+        assert limits.l_max_semihier_km == 0.0
 
     @pytest.mark.parametrize("k_ref", [None, 0.0, -10.0, math.nan])
     def test_mode_dependent_lifetime_needs_positive_k_ref(self, k_ref):

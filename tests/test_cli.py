@@ -17,7 +17,8 @@ from muxrepeater import montecarlo
 from muxrepeater.chain import expected_max_rounds, mean_entanglement, spdc_time
 from muxrepeater.cli import run
 from muxrepeater.modes import ModeSpace
-from muxrepeater.params import PhysicalConstants, SpdcParams, load_config
+from muxrepeater.params import (PhysicalConstants, SpdcParams, dump_config,
+                                load_config)
 from muxrepeater.serialize import csv_text, format_csv_value, json_text
 from muxrepeater.werner import ef_of_mode, entanglement_of_formation
 
@@ -382,6 +383,41 @@ class TestCommands:
             assert rows[name]["L0_max_ahier_km"] == 0.0
             assert rows[name]["L_max_semihier_km"] == 0.0
         assert rows["Lattice-SM"]["L0_max_ahier_km"] > 0.0
+
+    def test_limits_vanish_at_infinite_lifetime_when_chi_past_one(
+            self, tmp_path, capsys):
+        # K_ref = 1e-320 gives tau = inf, and inf * 0 would print nan
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noise": {"B": 1.0}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["limits", "--k-ref", "1e-320", "--config",
+                        str(cfg)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 4
+        for row in rows:
+            assert float(row["chi"]) > 1.0
+            assert row["L0_max_ahier_km"] == format_csv_value(0.0)
+            assert row["L_max_semihier_km"] == format_csv_value(0.0)
+
+    def test_limits_node_count_past_int64_is_many_node_limit(self, capsys):
+        assert run(["limits", "--n-nodes", "100000000000000000000"]) == 0
+        huge = capsys.readouterr().out
+        assert run(["limits"]) == 0
+        assert huge == capsys.readouterr().out
+
+    def test_mc_validate_chain_check_needs_wv_mux_qm(self, tmp_path, capsys):
+        bundle = load_config(None)
+        doc = dump_config(bundle)
+        doc["platforms"] = [entry for entry in doc["platforms"]
+                            if entry["name"] != "WV-MUX-QM"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["mc-validate", "--samples", "2000", "--config", str(cfg)]
+        assert run(argv + ["--chain-samples", "100"]) == 3
+        assert "unknown platform 'WV-MUX-QM'" in capsys.readouterr().err
+        assert run(argv + ["--chain-samples", "0"]) == 0
+        assert "chain_t_tot_us" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["presets"],

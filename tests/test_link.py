@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from muxrepeater.link import (
+    entangled_window,
     link_budget,
     p_eng,
     p_single,
@@ -13,6 +14,7 @@ from muxrepeater.link import (
     visibility_at,
 )
 from muxrepeater.params import PhysicalConstants, builtin_platforms
+from muxrepeater.werner import entanglement_of_formation
 
 # frozen from 30-digit evaluation of 1 - (1 - 1e-4)**10000
 P_ENG_1E4_100 = 0.6321389535670701
@@ -154,6 +156,40 @@ class TestVisibilityDecay:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             visibility_at(1.0, 1000.0, 0.05, "quadratic")
+
+
+class TestEntangledWindow:
+    @given(chi_eff=st.floats(1e-300, 0.99),
+           law=st.sampled_from(["gaussian", "exponential"]),
+           tau=st.floats(1e-3, 1e9))
+    def test_window_ends_at_the_entanglement_threshold(self, chi_eff, law,
+                                                       tau):
+        w = entangled_window(chi_eff, law)
+        inside = visibility_at(tau * w * (1 - 1e-9), tau, chi_eff, law)
+        outside = visibility_at(tau * w * (1 + 1e-9), tau, chi_eff, law)
+        assert entanglement_of_formation(inside) > 0.0
+        assert entanglement_of_formation(outside) == 0.0
+
+    def test_closed_form(self):
+        assert entangled_window(0.05, "exponential") == -math.log(0.05)
+        assert entangled_window(0.05, "gaussian") == \
+            math.sqrt(-math.log(0.05))
+        assert entangled_window(1e-310, "exponential") == \
+            pytest.approx(713.8, rel=1e-4)
+
+    @pytest.mark.parametrize("law", ["gaussian", "exponential"])
+    @pytest.mark.parametrize("chi_eff", [1.0, 1.5, 1e308])
+    def test_closed_at_chi_eff_one_and_above(self, chi_eff, law):
+        assert entangled_window(chi_eff, law) == 0.0
+
+    @pytest.mark.parametrize("chi_eff", [0.0, -0.1, math.nan])
+    def test_rejects_non_positive_chi_eff(self, chi_eff):
+        with pytest.raises(ValueError, match="chi_eff must be strictly positive"):
+            entangled_window(chi_eff, "gaussian")
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown decoherence kind"):
+            entangled_window(0.05, "quadratic")
 
 
 class TestLinkBudget:

@@ -129,6 +129,7 @@ class TestChainTime:
         assert _within(result.t_tot_us, plan.t_tot_us)
         assert result.mean_ef.mean == plan.mean_ef
         assert result.mean_ef.std_error == 0.0
+        assert result.plan == plan
 
     def test_held_matches_analytic(self):
         wv = self.bundle.platform("WV-MUX-QM")
@@ -139,6 +140,7 @@ class TestChainTime:
                                self.bundle.constants, self.space,
                                McConfig(samples=30_000, seed=12))
         assert _within(result.t_tot_us, plan.t_tot_us)
+        assert result.plan == plan
 
     def test_held_first_try_ef_matches_analytic(self):
         # quasi-deterministic heralding pins the storage to (L + L0)/c
