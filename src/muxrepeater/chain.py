@@ -73,8 +73,12 @@ def p_enc_chain(p_f: float, p_e: float, eta_x: float, n_nodes):
     ceil((N-2)/2) first-stage and floor((N-2)/2) later-stage connections,
     with one multiplexing factor per node: p_f**ceil * p_e**floor * eta_x**N.
     N = 2 has no swap stations and reduces to eta_x**2.  ``n_nodes`` may be
-    an integer array.
+    an integer array.  The factors are probabilities; one that underflowed
+    to 0 gives P_enc = 0.
     """
+    for name, value in (("p_f", p_f), ("p_e", p_e), ("eta_x", eta_x)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1]")
     _check_node_counts(n_nodes)
     first = (n_nodes - 1) // 2
     later = (n_nodes - 2) // 2
@@ -92,19 +96,24 @@ def _tail_terms(m: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _expected_max_rounds(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Array form of :func:`expected_max_rounds`; rows never interact."""
-    with np.errstate(divide="ignore"):
-        log_q = np.log1p(-p)
     out = np.empty(p.shape)
     exact = (m <= 12) & (p <= 0.5)
     euler = (m >= 13) & (p <= 0.1)
-    # sum_k (-1)^(k+1) C(m,k) / (1 - (1-p)^k), with each term scaled by p so
-    # that it stays finite down to the smallest p
-    ratios = p[exact, None] / -np.expm1(np.arange(1, 13) * log_q[exact, None])
-    out[exact] = np.sum(_SIGNED_BINOMIALS[m[exact]] * ratios, axis=1) / p[exact]
-    # Euler-Maclaurin: H_m/lambda + 1/2 with lambda = -log(1-p); the endpoint
-    # corrections vanish with the summand's derivatives at j = 0 below order m
-    harmonic = np.cumsum(1.0 / np.arange(1, m[euler].max(initial=0) + 1))
-    out[euler] = harmonic[m[euler] - 1] / -log_q[euler] + 0.5
+    # p = 1 gives log1p(-1) = -inf; a subnormal p overflows both closed forms
+    # to the inf that is their value there
+    with np.errstate(divide="ignore", over="ignore"):
+        log_q = np.log1p(-p)
+        # sum_k (-1)^(k+1) C(m,k) / (1 - (1-p)^k), with each term scaled by p
+        # so that it stays finite down to the smallest p
+        k = np.arange(1, 13)
+        ratios = p[exact, None] / -np.expm1(k * log_q[exact, None])
+        out[exact] = (np.sum(_SIGNED_BINOMIALS[m[exact]] * ratios, axis=1)
+                      / p[exact])
+        # Euler-Maclaurin: H_m/lambda + 1/2 with lambda = -log(1-p); the
+        # endpoint corrections vanish with the summand's derivatives at j = 0
+        # below order m
+        harmonic = np.cumsum(1.0 / np.arange(1, m[euler].max(initial=0) + 1))
+        out[euler] = harmonic[m[euler] - 1] / -log_q[euler] + 0.5
     # every other row sums its own J terms as one segment of a ragged array
     tail = np.flatnonzero(~(exact | euler))
     counts = _tail_terms(m[tail], p[tail])

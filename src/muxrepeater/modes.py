@@ -42,6 +42,8 @@ def round_to_one_digit(x: float) -> float:
 
 def tau_of_k(k_inv_mm, gamma_us_mm: float):
     """Mode lifetime gamma/K in us; accepts scalars or arrays."""
+    if not gamma_us_mm > 0:
+        raise ValueError("gamma must be strictly positive")
     if not np.all(np.asarray(k_inv_mm) > 0):
         raise ValueError("wavevector modulus must be strictly positive")
     # a K below gamma/DBL_MAX gives tau = inf: that mode never decays

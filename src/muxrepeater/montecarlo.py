@@ -186,27 +186,6 @@ def mc_expected_max_rounds(n_links: int, p_g: float, cfg: McConfig) -> McEstimat
     return _slowest_rounds(p_g, n_links, cfg, "slowest-link waiting rounds")
 
 
-def _mc_ahierarchical(plan: ChainPlan, cfg: McConfig) -> ChainMcResult:
-    # Blind operation: every link, every connection, and the final detections
-    # are independent per-period Bernoulli events, so the period count to the
-    # first joint success is exactly geometric in their product.
-    if plan.p_success <= 0.0:
-        raise SimulationBudgetError(
-            "per-period success probability underflowed to zero")
-    if 1.0 / plan.p_success > cfg.max_rounds:
-        raise SimulationBudgetError(
-            "expected rounds per sample exceed max_rounds")
-    rounds_est = _slowest_rounds(plan.p_success, 1, cfg,
-                                 "blind-protocol rounds")
-    t_rep = plan.t_rep_us
-    return ChainMcResult(
-        t_tot_us=McEstimate(mean=rounds_est.mean * t_rep,
-                            std_error=rounds_est.std_error * t_rep,
-                            samples_used=cfg.samples),
-        mean_ef=McEstimate(mean=plan.mean_ef, std_error=0.0,
-                           samples_used=cfg.samples), plan=plan)
-
-
 def _earlier_pass_rounds(rng, passes, p: float, racers: int) -> np.ndarray:
     """Rounds of trial i's ``passes[i]`` failed passes, as an integer array.
 
@@ -225,17 +204,45 @@ def _earlier_pass_rounds(rng, passes, p: float, racers: int) -> np.ndarray:
     return passes + np.diff(ends, prepend=0)
 
 
-def _mc_semihierarchical(plan: ChainPlan, racers: int, platform, space,
-                         noise, c: float, cfg: McConfig) -> ChainMcResult:
+def mc_chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
+                  l_km: float, constants: PhysicalConstants, space: ModeSpace,
+                  cfg: McConfig, noise: NoiseParams | None = None,
+                  waiting_count: str = "links") -> ChainMcResult:
+    """Simulate full distributions and estimate T_tot and the ebit content.
+
+    Every deterministic quantity comes from the ``chain.chain_time`` record,
+    which also checks the arguments.  The blind chain stores for exactly one
+    clock period, so its ebit content is the record's (zero standard error).
+    The held chain races N-1 or N heralders (``waiting_count``, as in
+    ``chain_time``) and takes each trial's ebit content at the racers'
+    realized storage times in the final, successful pass, averaged over
+    racers.
+
+    Two budget errors, read from the record before any draw: a T_tot that
+    is not finite (the chain never delivers) and expected rounds per sample,
+    the waiting factor (1 when blind) over ``p_success``, past max_rounds.
+    """
+    plan = chain_time(architecture, platform, n_nodes, l_km, constants, space,
+                      noise, waiting_count)
+    blind = architecture == "ahierarchical"
+    racers = _racers(n_nodes, waiting_count)
     p_g, q, t_rep = plan.p_g, plan.p_success, plan.t_rep_us
-    if p_g <= 0.0 or q <= 0.0:
+    if not plan.t_tot_us < math.inf:
         raise SimulationBudgetError(
-            "per-attempt success probability underflowed to zero")
-    if expected_max_rounds(racers, p_g) / q > cfg.max_rounds:
+            f"the chain never delivers: T_tot = {plan.t_tot_us}")
+    factor = 1.0 if blind else expected_max_rounds(racers, p_g)
+    if factor / q > cfg.max_rounds:
         raise SimulationBudgetError(
             "expected rounds per sample exceed max_rounds")
+    if blind:
+        # every link, connection and final detection is an independent
+        # per-period Bernoulli event: the period count is geometric in q
+        r = _slowest_rounds(q, 1, cfg, "blind-protocol rounds")
+        t_tot = McEstimate(r.mean * t_rep, r.std_error * t_rep, cfg.samples)
+        return ChainMcResult(t_tot, McEstimate(plan.mean_ef, 0.0, cfg.samples),
+                             plan)
     rng = np.random.default_rng(cfg.seed)
-    overhead = plan.l_km / c
+    overhead = plan.l_km / constants.c
     # derived from q alone, the trial chunk reproducibly bounds its expected
     # pass count, and so its slow-pass uniforms
     trial_chunk = max(1, min(_TRIAL_CHUNK, int(_PASS_BUDGET * q)))
@@ -267,25 +274,3 @@ def _mc_semihierarchical(plan: ChainPlan, racers: int, platform, space,
     return ChainMcResult(
         t_tot_us=_estimate(*sums[:2].tolist(), cfg.samples),
         mean_ef=_estimate(*sums[2:].tolist(), cfg.samples), plan=plan)
-
-
-def mc_chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
-                  l_km: float, constants: PhysicalConstants, space: ModeSpace,
-                  cfg: McConfig, noise: NoiseParams | None = None,
-                  waiting_count: str = "links") -> ChainMcResult:
-    """Simulate full distributions and estimate T_tot and the ebit content.
-
-    The samplers read the :func:`muxrepeater.chain.chain_time` record,
-    which also checks the arguments.  The blind architecture stores for
-    exactly one clock period, so its ebit content is the record's (zero
-    standard error).  The held architecture races N-1 or N heralders
-    (``waiting_count``, as in ``chain_time``) and takes each trial's ebit
-    content at the racers' realized storage times in the final, successful
-    pass, averaged over racers.
-    """
-    plan = chain_time(architecture, platform, n_nodes, l_km, constants, space,
-                      noise, waiting_count)
-    if architecture == "ahierarchical":
-        return _mc_ahierarchical(plan, cfg)
-    return _mc_semihierarchical(plan, _racers(n_nodes, waiting_count),
-                                platform, space, noise, constants.c, cfg)

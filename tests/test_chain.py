@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -154,6 +155,21 @@ class TestChainProbabilities:
         with pytest.raises(ValueError, match=message):
             call()
 
+    @pytest.mark.parametrize("p_f, p_e, eta_x, name", [
+        (0.5, 0.5, 2.0, "eta_x"), (-0.5, 0.5, 1.0, "p_f"),
+        (0.5, 1.5, 1.0, "p_e"), (0.5, math.nan, 1.0, "p_e"),
+        (0.5, 0.5, -1e-300, "eta_x")])
+    def test_p_enc_rejects_factors_outside_unit_interval(self, p_f, p_e,
+                                                         eta_x, name):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\]$"):
+            p_enc_chain(p_f, p_e, eta_x, 3)
+
+    def test_p_enc_underflowed_factor_gives_zero(self):
+        # p_e = (eta_r * eta_det)**2 / 2 underflows to 0 at eta_r = 1e-170
+        p_e, p_f = p_enc_stage(1e-170, 1.0)
+        assert p_enc_chain(p_f, p_e, 0.9, 3) == 0.0
+        assert p_enc_chain(p_f, p_e, 0.9, 2) == pytest.approx(0.81)
+
     @pytest.mark.parametrize("n_nodes", [1, np.array([2, 1])],
                              ids=["scalar", "array"])
     def test_chain_probabilities_reject_chains_below_two_nodes(self, n_nodes):
@@ -183,6 +199,14 @@ class TestWaitingFactor:
         for p in (0.0, True, np.True_):
             with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
                 expected_max_rounds(2, p)
+
+    @pytest.mark.parametrize("m, p", [(1, 5e-324), (3, 1e-320),
+                                      (13, 1e-320)])
+    def test_subnormal_probability_waits_forever_without_warning(self, m, p):
+        # the exact (m <= 12) and Euler (m >= 13) forms overflow to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert expected_max_rounds(m, p) == math.inf
 
     def test_node_count_switch(self):
         # counting one process per node races one more variable than per link

@@ -73,6 +73,13 @@ class TestLifetimeLaw:
         with pytest.raises(ValueError):
             tau_of_k(np.array([10.0, np.nan]), 1e5)
 
+    @pytest.mark.parametrize("gamma", [-5.0, 0.0, -0.0, math.nan])
+    def test_rejects_nonpositive_gamma(self, gamma):
+        with pytest.raises(ValueError, match="^gamma must be strictly positive$"):
+            tau_of_k(10.0, gamma)
+        with pytest.raises(ValueError, match="^gamma must be strictly positive$"):
+            tau_of_k(np.array([10.0, 100.0]), gamma)
+
     def test_wavevector_below_gamma_over_float_max_never_decays(self):
         assert tau_of_k(np.array([1e-320]), 1e5).tolist() == [math.inf]
 

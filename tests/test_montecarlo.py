@@ -228,6 +228,22 @@ class TestChainTime:
                 failed.append(base)
         assert failed == []
 
+    @pytest.mark.parametrize("arch", ["ahierarchical", "semihierarchical"])
+    @pytest.mark.parametrize("name, n_nodes, l_km, cfg, message", [
+        # p_g = 2e-323: T_tot = inf in the record, for either architecture
+        ("Lattice-SM", 2, 16_000.0, McConfig(samples=100, seed=16),
+         "^the chain never delivers: T_tot = inf$"),
+        ("WV-MUX-QM", 5, 550.0, McConfig(samples=10, max_rounds=1),
+         "^expected rounds per sample exceed max_rounds$")])
+    def test_budget_checks_read_the_record(self, arch, name, n_nodes, l_km,
+                                             cfg, message):
+        platform = self.bundle.platform(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationBudgetError, match=message):
+                mc_chain_time(arch, platform, n_nodes, l_km,
+                              self.bundle.constants, self.space, cfg)
+
     def test_underflowed_chain_rejected(self):
         lattice = self.bundle.platform("Lattice-SM")
         with pytest.raises(SimulationBudgetError):
