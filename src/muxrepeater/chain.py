@@ -67,6 +67,22 @@ def _racers(n_nodes, waiting_count: str):
     return n_nodes - 1 if waiting_count == "links" else n_nodes
 
 
+def _int_power(base: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """base**k for a non-negative integer array ``k``, by repeated squaring.
+
+    Float products round exactly, so every entry is the same whatever the
+    shapes of the operands; numpy's vectorised pow can differ in the last
+    bit between a contiguous and a broadcast operand.
+    """
+    base, k = np.broadcast_arrays(np.asarray(base, dtype=float), k)
+    out = np.ones(base.shape)
+    while np.any(k):
+        out = np.where(k & 1, out * base, out)
+        base = base * base
+        k = k >> 1
+    return out
+
+
 def p_enc_chain(p_f: float, p_e: float, eta_x: float, n_nodes):
     """Probability that every connection across the chain succeeds.
 
@@ -222,7 +238,7 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
     p_e, p_f = p_enc_stage(platform.eta_r, eta_det)
     p_enc = p_enc_chain(p_f, p_e, platform.eta_x, n)
     eta_final = (eta_det * platform.eta_x) ** 2
-    p_eng = budget.p_g ** (n - 1)   # all N-1 links herald in one period
+    p_eng = _int_power(budget.p_g, n - 1)   # all N-1 links herald at once
     with np.errstate(divide="ignore", over="ignore"):
         t_rep = l0_km / constants.c
         if architecture == "ahierarchical":
