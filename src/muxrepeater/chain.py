@@ -113,10 +113,11 @@ def _tail_terms(m: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _expected_max_rounds(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Array form of :func:`expected_max_rounds`; rows never interact."""
     out = np.empty(p.shape)
-    exact = (m <= 12) & (p <= 0.5)
-    euler = (m >= 13) & (p <= 0.1)
-    # p = 1 gives log1p(-1) = -inf; a subnormal p overflows both closed forms
-    # to the inf that is their value there
+    exact = (m <= 12) & (p <= 0.5) & (p > 0)
+    euler = (m >= 13) & (p <= 0.1) | (p == 0)
+    # p = 1 gives log1p(-1) = -inf; at p = 0 the Euler-Maclaurin form divides
+    # by lambda = +0, the inf wait of a link that cannot herald; a subnormal p
+    # overflows both closed forms to the inf that is their value there
     with np.errstate(divide="ignore", over="ignore"):
         log_q = np.log1p(-p)
         # sum_k (-1)^(k+1) C(m,k) / (1 - (1-p)^k), with each term scaled by p
@@ -147,7 +148,7 @@ def expected_max_rounds(m: int, p: float) -> float:
     """Expected maximum of m independent geometric(p) round counts.
 
     This is the mean number of clock periods until the slowest of m links
-    heralds, from one of three closed forms: inclusion-exclusion for
+    has heralded, from one of three closed forms: inclusion-exclusion for
     m <= 12 and p <= 0.5, the Euler-Maclaurin limit H_m/(-log(1-p)) + 1/2
     for m >= 13 and p <= 0.1, and otherwise the tail sum of P(max > j) cut
     where its geometric tail bound falls below 1e-16 (Eisenberg, Stat.
@@ -247,11 +248,8 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
             storage = t_rep
         else:
             p_success = p_enc * eta_final
-            waits = np.full(t_rep.shape, np.inf)
-            heralds = budget.p_g > 0.0
-            racers = np.broadcast_to(racers, t_rep.shape)
-            waits[heralds] = _expected_max_rounds(racers[heralds],
-                                                  budget.p_g[heralds])
+            m, p = (a.ravel() for a in np.broadcast_arrays(racers, budget.p_g))
+            waits = _expected_max_rounds(m, p).reshape(t_rep.shape)
             t_tot = (t_rep * waits + l_km / constants.c) / p_success
             storage = (l_km + l0_km) / constants.c
         averages = {} if averages is None else averages

@@ -110,14 +110,15 @@ def _open_unit_float(text: str) -> float:
     return value
 
 
-def _int_at_least(minimum: int):
+def _int_at_least(minimum: int, or_zero: bool = False):
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad integer: {exc}") from exc
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}")
+        if value < minimum and not (or_zero and value == 0):
+            raise argparse.ArgumentTypeError(
+                f"expected {'0 or ' if or_zero else ''}an integer >= {minimum}")
         return value
     return parse
 
@@ -338,10 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = command("mc-validate", _cmd_mc_validate,
                   "analytic versus Monte Carlo comparison table", [waiting])
-    sub.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
+    # one sample has no standard error, so no z-score
+    sub.add_argument("--samples", type=_int_at_least(2), default=1_000_000)
     sub.add_argument("--seed", type=_int_at_least(0), default=42,
                      help="base seed; cell i uses seed+i, the chain check seed+1000")
-    sub.add_argument("--chain-samples", type=_int_at_least(0), default=100_000,
+    sub.add_argument("--chain-samples", type=_int_at_least(2, or_zero=True),
+                     default=100_000,
                      help="trials for the end-to-end chain check (0 skips it)")
 
     return parser

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModeSpaceParams, PhysicalConstants
+from .params import ModeSpaceParams, PhysicalConstants, _require
 
 _S_PER_M_TO_US_PER_MM = 1e3
 
@@ -69,6 +69,11 @@ class ModeSpace:
         thermal constant so the quoted band-edge lifetimes come out exact;
         ``exact`` keeps the full value.
         """
+        k_t = constants.boltzmann * params.temperature
+        _require(0 < k_t < math.inf
+                 and 0 < constants.atomic_mass_rb87 / k_t < math.inf,
+                 "temperature", "k_B*T and m/(k_B*T), which set gamma, must "
+                 "be positive finite floats")
         gamma = gamma_from_temperature(params.temperature,
                                        constants.atomic_mass_rb87,
                                        constants.boltzmann)

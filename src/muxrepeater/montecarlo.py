@@ -100,21 +100,15 @@ def _estimate(total: float, total_sq: float, n: int) -> McEstimate:
 def _geometric_search_sums(p: float) -> np.ndarray:
     """The partial sums p + p*q + ... of numpy's geometric search loop.
 
-    Built with the loop's own ``prod *= q; sum += prod`` steps, up to 1 or to
-    where adding the next term leaves the sum unchanged.  numpy returns the
-    first k whose sum reaches the uniform; a uniform above the last sum
-    (chance below 1e-15) never ends numpy's loop and maps to one past it here.
+    cumprod and cumsum take the loop's ``prod *= q; sum += prod`` steps.  At
+    p >= 1/3 the term p*q**k is below half an ulp of the sum by k = 90; the
+    later of the 128 sums repeat the last or are at least 1, so
+    ``searchsorted`` finds numpy's k.  A uniform above a last sum below 1
+    (chance below 1e-15) never ends numpy's loop and maps to any index here.
     """
-    q = 1.0 - p
-    total = prod = p
-    sums = [total]
-    while total < 1.0:
-        prod *= q
-        if total + prod == total:
-            break
-        total += prod
-        sums.append(total)
-    return np.array(sums)
+    terms = np.full(128, 1.0 - p)
+    terms[0] = p
+    return np.cumsum(np.cumprod(terms))
 
 
 def _geometric_row_max(rng, p: float, shape: tuple[int, int]) -> np.ndarray:

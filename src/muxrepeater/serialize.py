@@ -23,8 +23,6 @@ def format_csv_value(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")

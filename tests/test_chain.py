@@ -208,6 +208,13 @@ class TestWaitingFactor:
             warnings.simplefilter("error")
             assert expected_max_rounds(m, p) == math.inf
 
+    def test_array_form_at_zero_probability_waits_forever(self):
+        # a link that never heralds: the Euler-Maclaurin form divides by +0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _expected_max_rounds(np.array([1, 12, 13, 50]), np.zeros(4))
+        assert got.tolist() == [math.inf] * 4
+
     def test_node_count_switch(self):
         # counting one process per node races one more variable than per link
         bundle, space = bundle_and_space()

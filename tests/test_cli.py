@@ -61,7 +61,14 @@ class TestCommands:
                      ["rate-curve", "--grid", "100:inf:3"],
                      ["pg-curve", "--grid=-10:10:3"],
                      ["ef-curve", "--grid=-10:10:3"],
-                     ["spdc", "--grid=-5:10:3"]):
+                     ["spdc", "--grid=-5:10:3"],
+                     ["pg-curve", "--grid", "10:250"],
+                     ["pg-curve", "--grid", "10:250:5:log:x"],
+                     ["pg-curve", "--grid", "10:x:5"],
+                     ["pg-curve", "--grid", "10:250:5.5"],
+                     ["pg-curve", "--grid", "10:250:5:cubic"],
+                     ["pg-curve", "--grid", "10:250:1"],
+                     ["pg-curve", "--grid", "0:250:5:log"]):
             assert run(argv) == 2, argv
         capsys.readouterr()
 
@@ -73,10 +80,31 @@ class TestCommands:
         ["ef-curve", "--modes", "inf"],
         ["ef-curve", "--modes", "10,-1"],
         ["limits", "--k-ref", "inf"],
-        ["limits", "--n-nodes", "1"]])
+        ["limits", "--n-nodes", "1"],
+        ["limits", "--n-nodes", "two"],
+        ["limits", "--k-ref", "x"],
+        ["ef-curve", "--modes", ","],
+        ["pg-curve", "--platforms", ","],
+        ["mc-validate", "--samples", "1"],
+        ["mc-validate", "--samples", "1.5"],
+        ["mc-validate", "--chain-samples", "1"],
+        ["mc-validate", "--chain-samples", "-1"]])
     def test_out_of_range_number_exits_2(self, argv, capsys):
         assert run(argv) == 2
         capsys.readouterr()
+
+    def test_documented_inputs_are_accepted(self, capsys):
+        assert run(["pg-curve", "--grid", "10:250:5:log",
+                    "--platforms", "Temporal"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["L0_km"] for row in rows] == [
+            format_csv_value(x) for x in np.geomspace(10.0, 250.0, 5).tolist()]
+        assert run(["limits"]) == 0
+        finite = capsys.readouterr().out
+        assert run(["limits", "--n-nodes", "inf"]) == 0
+        assert capsys.readouterr().out == finite
+        assert run(["ef-curve", "--chi", "0.2"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.csv"
@@ -127,9 +155,22 @@ class TestCommands:
         ('{"platforms": [{"name": "X", "M": 1%s, "chi": 0.1, "eta_r": 0.5, '
          '"tau_ms": 1.0, "multiplexed": true}]}' % ("0" * 200),
          ["pg-curve", "--platforms", "X"], "M"),
-        ('{"spdc": {"f_rep": 1%s}}' % ("0" * 4999), ["spdc"], "config")],
+        ('{"spdc": {"f_rep": 1%s}}' % ("0" * 4999), ["spdc"], "config"),
+        # k_B*T = inf gives gamma = 0, k_B*T = 0 divides by 0, and a heavy
+        # atom at a subnormal k_B*T gives gamma = inf
+        ('{"constants": {"boltzmann": 1e308}, '
+         '"mode_space": {"temperature": 1e308}}', ["presets"], "temperature"),
+        ('{"constants": {"boltzmann": 1e-300}, '
+         '"mode_space": {"temperature": 1e-300}}', ["presets"], "temperature"),
+        ('{"constants": {"boltzmann": 1e308}, "mode_space": '
+         '{"temperature": 1e308, "gamma_policy": "exact"}}',
+         ["rate-curve", "--grid", "100:200:2"], "temperature"),
+        ('{"constants": {"atomic_mass_rb87": 1e300, "boltzmann": 1e-300}, '
+         '"mode_space": {"temperature": 1e-10}}', ["ef-curve"],
+         "temperature")],
         ids=["f_rep-int-literal", "K_max-int-literal", "multiplexed-M",
-             "int-past-digit-limit"])
+             "int-past-digit-limit", "kT-overflow", "kT-underflow",
+             "kT-overflow-exact-gamma", "gamma-overflow"])
     def test_numbers_past_the_float_range_exit_3(self, tmp_path, capsys, text,
                                                  argv, prefix):
         cfg = tmp_path / "huge.json"

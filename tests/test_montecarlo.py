@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from muxrepeater.chain import chain_time, expected_max_rounds
 from muxrepeater.modes import ModeSpace
@@ -16,6 +17,7 @@ from muxrepeater.montecarlo import (
     SimulationBudgetError,
     _earlier_pass_rounds,
     _geometric_row_max,
+    _geometric_search_sums,
     mc_chain_time,
     mc_expected_max_rounds,
 )
@@ -233,6 +235,9 @@ class TestChainTime:
         # p_g = 2e-323: T_tot = inf in the record, for either architecture
         ("Lattice-SM", 2, 16_000.0, McConfig(samples=100, seed=16),
          "^the chain never delivers: T_tot = inf$"),
+        # p_g = 0: the link never heralds
+        ("Lattice-SM", 2, 40_000.0, McConfig(samples=100, seed=16),
+         "^the chain never delivers: T_tot = inf$"),
         ("WV-MUX-QM", 5, 550.0, McConfig(samples=10, max_rounds=1),
          "^expected rounds per sample exceed max_rounds$")])
     def test_budget_checks_read_the_record(self, arch, name, n_nodes, l_km,
@@ -301,6 +306,36 @@ class TestGeometricRowMax:
         assert maxima.dtype == direct.dtype
         assert np.array_equal(maxima, direct)
         assert rng.random() == direct_rng.random()
+
+
+class TestGeometricSearchSums:
+    """The accumulated sums equal numpy's search loop, replayed in Python.
+
+    numpy's loop runs ``prod *= q; sum += prod`` until the sum reaches the
+    uniform; the replay stops where the sum reaches 1 or stops changing.
+    Past that point the accumulated sums must repeat the replay's last sum
+    or be >= 1, so that ``searchsorted`` returns the k numpy returns.
+    """
+
+    @given(st.floats(1 / 3, 1.0))
+    @example(1 / 3)
+    @example(math.nextafter(1 / 3, 1.0))
+    @example(1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_numpy_loop(self, p):
+        q = 1.0 - p
+        total = prod = p
+        loop = [total]
+        while total < 1.0:
+            prod *= q
+            if total + prod == total:
+                break
+            total += prod
+            loop.append(total)
+        sums = _geometric_search_sums(p)
+        assert sums[:len(loop)].tolist() == loop
+        later = sums[len(loop):]
+        assert np.all((later == loop[-1]) | (later >= 1.0))
 
 
 class TestDrawBlocks:

@@ -113,6 +113,19 @@ class TestOptimizeNodes:
         if zero_rate:
             assert record.n_nodes == 2
 
+    @pytest.mark.parametrize("name", [p.name for p in BUNDLE.platforms])
+    def test_held_chain_past_heralding_underflow(self, name):
+        # p_g underflows to 0 at every N: the wait, and so T_tot, is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record, = sweep([1e6], [BUNDLE.platform(name)],
+                            ["semihierarchical"], BUNDLE.constants,
+                            ModeSpace.default(), n_max=5)
+        assert record.n_nodes == 2
+        assert record.p_g == 0.0
+        assert record.t_tot_s == math.inf
+        assert record.q_ebit_per_s_per_node == 0.0
+
     @pytest.mark.parametrize("n_max", [1, 0, 2.5, True])
     def test_rejects_bad_n_max(self, n_max):
         bundle, space = bundle_and_space()
