@@ -183,9 +183,10 @@ def mean_entanglement(platform: PlatformParams, space: ModeSpace, t_us,
 class ChainPlan:
     """One evaluated chain configuration (times in us, ``*_s`` fields in s).
 
-    The per-second fields hold rate = mean_ef/t_tot_s and Q = rate/N, and
-    t_tot_us divides the time per attempt by ``p_success``: the chance that
-    a clock period (blind chain) or a connection pass (held) delivers.  The
+    The per-second fields hold rate = mean_ef/t_tot_s (0 where mean_ef is
+    0) and Q = rate/N, and t_tot_us divides the time per attempt by
+    ``p_success``: the chance that a clock period (blind chain) or a
+    connection pass (held) delivers.  The
     array core :func:`_chain_block` fills the per-N fields with one entry
     per node count; :func:`chain_time` returns plain numbers.
     """
@@ -259,7 +260,10 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
             averages[key] = mean_entanglement(platform, space, storage, noise)
         mean_ef = averages[key]
         t_tot_s = t_tot * 1e-6
-        rate_s = mean_ef / t_tot_s   # exactly 0 where t_tot_s = inf
+        # exactly 0 where t_tot_s = inf, and set to 0 where no ebit arrives,
+        # since 0/0 would be nan where t_tot_s underflows to 0
+        rate_s = np.divide(mean_ef, t_tot_s, out=np.zeros(t_tot_s.shape),
+                           where=mean_ef > 0)
         return ChainPlan(
             platform=platform.name, architecture=architecture, n_nodes=n,
             l_km=l_km, l0_km=l0_km, t_rep_us=t_rep, p1=budget.p1,

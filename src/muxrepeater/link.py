@@ -25,7 +25,9 @@ def transmission(z_km, alpha_db_per_km: float):
         raise ValueError("fiber length must be non-negative")
     if not alpha_db_per_km >= 0:   # also rejects nan
         raise ValueError("attenuation must be non-negative")
-    return 10.0 ** (-alpha_db_per_km * z_km / 10.0)
+    # a loss exponent past the float range is -inf, and 10**-inf is exactly 0
+    with np.errstate(over="ignore"):
+        return 10.0 ** (-alpha_db_per_km * z_km / 10.0)
 
 
 def _check_probability(value, name: str) -> None:
@@ -76,16 +78,23 @@ def visibility_at(t_us, tau_us, chi_eff: float, decoherence: str = "gaussian"):
     1 / (1 + 2*chi_eff*exp(x)) with x = (t/tau)**2 for gaussian decay or
     t/tau for exponential decay.  Accepts scalars or numpy arrays for
     ``t_us`` and ``tau_us``; strictly decreasing in t until it underflows.
+    tau = inf never decays, so it keeps V(0) at every finite t; at t = inf
+    x is inf for every tau, so V = 0 there.
     """
     if not chi_eff > 0:   # also rejects nan
         raise ValueError("chi_eff must be strictly positive")
-    if not np.all(np.asarray(t_us) >= 0):
+    t = np.asarray(t_us, dtype=float)
+    if not np.all(t >= 0):
         raise ValueError("storage time must be non-negative")
+    tau = np.asarray(tau_us, dtype=float)
+    if not np.all(tau > 0):   # also rejects nan
+        raise ValueError("lifetime must be strictly positive")
     if decoherence not in DECOHERENCE_KINDS:
         raise ValueError(f"unknown decoherence kind {decoherence!r}")
-    # exp(x) overflows to inf past x ~ 709.78, and 1/(1 + inf) is exactly 0
-    with np.errstate(over="ignore"):
-        x = np.asarray(t_us, dtype=float) / np.asarray(tau_us, dtype=float)
+    # exp(x) overflows to inf past x ~ 709.78, and 1/(1 + inf) is exactly 0;
+    # inf/inf is the one nan t/tau can form, so t = inf sets x = inf itself
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.where(t == np.inf, np.inf, t / tau)
         if decoherence == "gaussian":
             x = x * x
         v = 1.0 / (1.0 + 2.0 * chi_eff * np.exp(x))

@@ -102,9 +102,11 @@ def _average_ef(space: ModeSpace, t_us, chi_eff: float) -> np.ndarray:
     """
     k_cut = space.gamma * link.entangled_window(chi_eff, "gaussian")
     t = np.asarray(t_us, dtype=float)
-    # at t = 0 the whole band is live, whatever K_c
-    k_hi = np.minimum(space.k_max, np.divide(
-        k_cut, t, out=np.full(t.shape, np.inf), where=t > 0.0))
+    # at t = 0 the whole band is live, whatever K_c; a subnormal t overflows
+    # K_c to inf, which leaves the band whole too
+    with np.errstate(over="ignore"):
+        k_hi = np.minimum(space.k_max, np.divide(
+            k_cut, t, out=np.full(t.shape, np.inf), where=t > 0.0))
     x, w = _gauss_legendre(_GL_ORDER)
     norm = (space.k_max ** 2 - space.k_min ** 2) / 2.0
     out = np.empty(t.shape)

@@ -15,7 +15,7 @@ import pytest
 
 from muxrepeater import montecarlo
 from muxrepeater.chain import expected_max_rounds, mean_entanglement, spdc_time
-from muxrepeater.cli import run
+from muxrepeater.cli import _usable_cpus, _z_score, run
 from muxrepeater.modes import ModeSpace
 from muxrepeater.params import (PhysicalConstants, SpdcParams, dump_config,
                                 load_config)
@@ -188,11 +188,20 @@ class TestCommands:
         assert out == ""
         assert err.startswith(f"error: config: cannot read {cfg}: ")
 
-    def test_overflowing_clock_period_gives_zero_rate(self, capsys):
-        # L0/c overflows to T_r = inf at the far grid point: rate 0 by design
+    @pytest.mark.parametrize("k_min", [None, 1e-320])
+    @pytest.mark.parametrize("arch", ["ahierarchical", "semihierarchical"])
+    def test_overflowing_clock_period_gives_zero_rate(self, tmp_path, capsys,
+                                                      arch, k_min):
+        # L0/c overflows to T_r = inf at the far grid point: rate 0 by design.
+        # K_min = 1e-320 adds a lifetime gamma/K = inf at that storage time
+        argv = ["optimize", "--grid", "100:1e308:2", "--arch", arch]
+        if k_min is not None:
+            cfg = tmp_path / "band.json"
+            cfg.write_text(json.dumps({"mode_space": {"K_min": k_min}}))
+            argv += ["--config", str(cfg)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["optimize", "--grid", "100:1e308:2"]) == 0
+            assert run(argv) == 0
         out, err = capsys.readouterr()
         assert err == ""
         near, far = csv.DictReader(io.StringIO(out))
@@ -200,6 +209,22 @@ class TestCommands:
         assert float(far["L_km"]) == 1e308
         assert float(far["R_ebit_per_s"]) == 0.0
         assert math.isinf(float(far["T_per_ebit_s"]))
+
+    def test_zero_ebit_rows_have_zero_rate(self, tmp_path, capsys):
+        # B = 1 leaves no ebit, and at L = 1e-320 km T_tot_s underflows to 0
+        cfg = tmp_path / "closed.json"
+        cfg.write_text('{"noise": {"B": 1.0}}')
+        assert run(["rate-curve", "--config", str(cfg), "--grid",
+                    "1e-320:2:3", "--n-max", "3", "--platforms", "WV-MUX-QM",
+                    "--no-spdc"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 6
+        assert float(rows[0]["T_tot_s"]) == 0.0
+        for row in rows:
+            assert float(row["mean_EF"]) == 0.0
+            assert float(row["R_ebit_per_s"]) == 0.0
+            assert float(row["Q_ebit_per_s_per_node"]) == 0.0
+            assert math.isinf(float(row["T_per_ebit_s"]))
 
     def test_overflowing_storage_ratio_gives_zero_ebits(self, tmp_path,
                                                         capsys):
@@ -329,6 +354,24 @@ class TestCommands:
                 row["p_g"], size=(70_000, racers))
             assert row["mc_mean"] == direct.max(axis=1).mean(), row
 
+    def test_z_score_at_zero_standard_error(self):
+        exact = montecarlo.McEstimate(2.5, 0.0, 100)
+        assert _z_score(2.5, exact) == 0.0
+        assert _z_score(2.0, exact) == math.inf
+        assert _z_score(2.0, montecarlo.McEstimate(2.5, 0.25, 100)) == 2.0
+
+    @pytest.mark.parametrize("arch, extra", [
+        ("ahierarchical", []),
+        ("semihierarchical", ["--waiting-count", "nodes"])],
+        ids=["blind", "held-nodes"])
+    def test_optimize_is_rate_curve_of_one_platform(self, capsys, arch, extra):
+        # the README's contract: the same bytes as rate-curve without SPDC
+        extra = ["--grid", "100:1000:4"] + extra
+        assert run(["optimize", "--arch", arch] + extra) == 0
+        optimized = capsys.readouterr().out
+        assert run(["rate-curve", "--platforms", "WV-MUX-QM", "--archs", arch,
+                    "--no-spdc"] + extra) == 0
+        assert capsys.readouterr().out == optimized
 
     def test_json_escapes_control_characters(self, tmp_path, capsys):
         name = "a\tb\u0001"
@@ -504,14 +547,17 @@ class TestDeterminism:
         assert run(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_config_roundtrip_same_output(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [["presets"],
+                                      ["pg-curve", "--grid", "10:100:5"]],
+                             ids=["presets", "pg-curve"])
+    def test_config_roundtrip_same_output(self, tmp_path, capsys, argv):
         # an explicit config equal to the defaults produces identical bytes
         from muxrepeater.params import default_bundle, dump_config
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dump_config(default_bundle())))
-        assert run(["pg-curve", "--grid", "10:100:5"]) == 0
+        assert run(argv) == 0
         default_out = capsys.readouterr().out
-        assert run(["pg-curve", "--grid", "10:100:5", "--config", str(cfg)]) == 0
+        assert run(argv + ["--config", str(cfg)]) == 0
         assert capsys.readouterr().out == default_out
 
 
@@ -531,6 +577,13 @@ class TestMcValidatePool:
             assert threading.active_count() == before
         assert outputs[0] == outputs[1]
         assert outputs[0].out.count("\n") == 1 + 16 + 1
+
+    @pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+    def test_usable_cpus_without_affinity(self, monkeypatch, count, cpus):
+        # where the OS has no affinity call, every CPU counts, and at least 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert _usable_cpus() == cpus
 
     @pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 3), (64, 16)])
     def test_workers_bounded_by_cells_and_cpus(self, monkeypatch, capsys,

@@ -38,6 +38,12 @@ class TestTransmission:
         with pytest.raises(ValueError, match="attenuation"):
             transmission(1.0, math.nan)
 
+    def test_loss_past_the_float_range_is_total(self):
+        # alpha*z overflows to inf, and 10**-inf is exactly 0, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert transmission(np.array([1e200]), 1e300) == 0.0
+
     @given(st.floats(0.0, 300.0), st.floats(0.0, 300.0))
     def test_multiplicative_in_length(self, z1, z2):
         lhs = transmission(z1 + z2, 0.2)
@@ -127,6 +133,12 @@ class TestVisibilityDecay:
             assert visibility_at(1e200, 1e-10, 0.05) == 0.0
             for x in (710.0, math.inf):
                 assert visibility_at(x, 1.0, 0.9, "exponential") == 0.0
+            # tau = inf never decays at finite t, but at t = inf x is inf
+            # for every tau, a tau of inf included
+            for law in ("gaussian", "exponential"):
+                assert np.array_equal(
+                    visibility_at(np.array([0.0, 5.0, math.inf]), math.inf,
+                                  0.05, law), [1 / 1.1, 1 / 1.1, 0.0])
 
     def test_tiny_chi_keeps_its_visibility_past_x_700(self):
         # past x = 700, V follows the formula until exp(x) overflows
@@ -152,6 +164,14 @@ class TestVisibilityDecay:
             visibility_at(-1.0, 1000.0, 0.05)
         with pytest.raises(ValueError, match="storage time"):
             visibility_at(math.nan, 1000.0, 0.05)
+
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, math.nan])
+    def test_rejects_non_positive_lifetime(self, tau):
+        # tau = -1 would grow V past V(0), tau = 0 divides by zero
+        with pytest.raises(ValueError, match="lifetime"):
+            visibility_at(1.0, tau, 0.05, "exponential")
+        with pytest.raises(ValueError, match="lifetime"):
+            visibility_at(1.0, np.array([1000.0, tau]), 0.05)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@
 # this script, as `PYTHONPATH=src python -W error::RuntimeWarning -m
 # muxrepeater ...`, and writes NN-FORMAT.out (stdout), NN-FORMAT.err
 # (stderr) and NN-FORMAT.rc (exit code) to OUTDIR.  Two checkouts write the
-# same bytes exactly when `diff -r OUT_A OUT_B` prints nothing.
+# same bytes exactly when `diff -r OUT_A OUT_B` prints nothing.  The last
+# five entries drive a clock period, a lifetime or the spectral cutoff past
+# the float range, where a run must still exit 0 with empty stderr.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -45,4 +47,9 @@ rate-curve --waiting-count nodes --grid 100:3000:30
 optimize --arch semihierarchical --grid 100:2000:40
 optimize --waiting-count nodes --arch semihierarchical
 mc-validate --samples 200000 --seed 42
+optimize --grid 100:1e308:2
+optimize --arch semihierarchical --grid 100:1e308:2
+ef-curve --modes 1e-320
+ef-curve --grid 0:1e308:2 --modes 1e-320
+ef-curve --grid 1e-310:1:2
 EOF
