@@ -22,7 +22,7 @@ import numpy as np
 
 from . import chain, montecarlo, serialize
 from .link import link_budget
-from .modes import ModeSpace
+from .modes import ModeSpace, tau_of_k
 from .params import ConfigError, load_config
 from .sweep import sweep as sweep_grid
 from .werner import average_ef, ef_of_mode, entanglement_of_formation
@@ -176,6 +176,10 @@ def _cmd_pg_curve(args, bundle, space):
 
 
 def _cmd_ef_curve(args, bundle, space):
+    for k in args.modes:
+        if not tau_of_k(k, space.gamma) > 0:
+            raise ConfigError(f"modes: the lifetime gamma/K underflows to 0 "
+                              f"at K = {k:g} (gamma = {space.gamma:g} us/mm)")
     rows = []
     for l0 in args.grid:
         t_us = l0 / bundle.constants.c

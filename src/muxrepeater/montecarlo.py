@@ -4,8 +4,9 @@ Serves as an independent check on the analytic waiting-time and total-time
 formulas.  :func:`mc_chain_time` takes every deterministic chain quantity
 (clock period, link and connection probabilities, first-try storage, the
 blind ebit content) from the :func:`muxrepeater.chain.chain_time` record, so
-the cross-check differs from the model only by what it samples.  Draws come
-from numpy's PCG64 generator seeded through ``default_rng(seed)``, in chunks
+the cross-check differs from the model only by what it samples.  Every
+estimate runs through one trial loop, :func:`_sample`.  Draws come from
+numpy's PCG64 generator seeded through ``default_rng(seed)``, in trial chunks
 sized from the inputs alone, and integer round counts sum exactly, so a
 given seed reproduces the same estimates bit for bit on every run.  The
 held-chain sampler draws raw per-racer rounds only for a trial's final pass;
@@ -15,11 +16,8 @@ The slowest-racer sampler draws, per racer, the raw variate numpy's geometric
 consumes (an exponential below p = 1/3, a uniform from 1/3 up) and maps only
 each trial's largest through numpy's nondecreasing transform, so its maxima
 equal ``geometric(...).max(axis=1)`` bit for bit; ``TestGeometricRowMax``
-pins that coupling on both sides of the branch point.  The raw variates are
-drawn in consecutive blocks of whole rows into one reused buffer of at most
-``_DRAW_BLOCK`` values; the generator fills a block row-major exactly as it
-fills one (trials, racers) array, so the maxima and the generator state after
-the draw do not depend on the block size.
+pins that coupling on both sides of the branch point.  Its trial chunk
+bounds each draw to ``_DRAW_BLOCK`` raw variates (1 MB).
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .params import (NoiseParams, PhysicalConstants, PlatformParams,
 
 _TRIAL_CHUNK = 1 << 16
 _PASS_BUDGET = 1 << 22
-# raw variates per draw block (1 MB of float64), whole rows at a time
+# raw variates per slowest-racer trial chunk (1 MB of float64)
 _DRAW_BLOCK = 1 << 17
 # up to this many racers a column-wise maximum is at least as fast as
 # max(axis=1); past it the per-column call overhead dominates
@@ -80,13 +78,6 @@ class ChainMcResult:
     plan: ChainPlan      # the chain_time record the samplers read
 
 
-def _check_flagged(flagged: int, samples: int, what: str) -> None:
-    if flagged > _FLAG_FRACTION * samples:
-        raise SimulationBudgetError(
-            f"{flagged} of {samples} samples exceeded max_rounds while "
-            f"simulating {what}; raise max_rounds or rethink the parameters")
-
-
 def _estimate(total: float, total_sq: float, n: int) -> McEstimate:
     mean = total / n
     if n > 1:
@@ -117,23 +108,16 @@ def _geometric_row_max(rng, p: float, shape: tuple[int, int]) -> np.ndarray:
     Draws the raw variates numpy's geometric consumes, one per racer and in
     the same order, so the generator ends in the same state.  numpy maps each
     through a nondecreasing function, so only the row maxima are mapped.
+    Callers bound ``shape`` to ``_DRAW_BLOCK`` values by their trial chunk.
     """
-    rows, racers = shape
     search = p >= _GEOMETRIC_SEARCH_FROM
-    draw = rng.random if search else rng.standard_exponential
-    step = max(1, _DRAW_BLOCK // racers)
-    block = np.empty((min(step, rows), racers))
-    mx = np.empty(rows)
-    for start in range(0, rows, step):
-        x = block[:min(step, rows - start)]
-        draw(out=x)
-        out = mx[start:start + len(x)]
-        if racers > _COLUMN_MAX_UP_TO:
-            np.max(x, axis=1, out=out)
-        else:
-            np.copyto(out, x[:, 0])
-            for j in range(1, racers):
-                np.maximum(out, x[:, j], out=out)
+    x = (rng.random if search else rng.standard_exponential)(size=shape)
+    if shape[1] > _COLUMN_MAX_UP_TO:
+        mx = x.max(axis=1)
+    else:
+        mx = x[:, 0].copy()
+        for j in range(1, shape[1]):
+            np.maximum(mx, x[:, j], out=mx)
     if search:
         return np.searchsorted(_geometric_search_sums(p), mx) + 1
     # at tiny p, z passes INT64_MAX (inf at subnormal p); numpy saturates
@@ -143,25 +127,39 @@ def _geometric_row_max(rng, p: float, shape: tuple[int, int]) -> np.ndarray:
                         z.astype(np.int64))
 
 
-def _slowest_rounds(p: float, links: int, cfg: McConfig,
-                    what: str) -> McEstimate:
-    """Mean over trials of the slowest of ``links`` geometric(p) rounds."""
-    rng = np.random.default_rng(cfg.seed)
-    total = 0.0
-    total_sq = 0.0
+def _sample(cfg: McConfig, chunk: int, draw, what: str) -> list[McEstimate]:
+    """Estimates of the per-trial float columns ``draw(b)`` returns.
+
+    ``draw`` simulates chunks of at most ``chunk`` trials and also returns
+    their round counts; too many past max_rounds fail the estimate.
+    """
+    sums = 0.0   # per column: float64 sum and sum of squares of its chunks
     flagged = 0
     remaining = cfg.samples
     while remaining > 0:
-        b = min(_TRIAL_CHUNK, remaining)
-        mx = _geometric_row_max(rng, p, (b, links))
-        flagged += int(np.count_nonzero(mx > cfg.max_rounds))
-        # float sums are exact below 2**53 and, unlike int64, never wrap
-        mxf = mx.astype(float)
-        total += float(np.sum(mxf))
-        total_sq += float(np.sum(mxf * mxf))
+        b = min(chunk, remaining)
+        columns, rounds = draw(b)
+        flagged += int(np.count_nonzero(rounds > cfg.max_rounds))
+        sums = sums + np.array([(np.sum(c), np.sum(c * c)) for c in columns])
         remaining -= b
-    _check_flagged(flagged, cfg.samples, what)
-    return _estimate(total, total_sq, cfg.samples)
+    if flagged > _FLAG_FRACTION * cfg.samples:
+        raise SimulationBudgetError(
+            f"{flagged} of {cfg.samples} samples exceeded max_rounds while "
+            f"simulating {what}; raise max_rounds or rethink the parameters")
+    return [_estimate(*pair, cfg.samples) for pair in sums.tolist()]
+
+
+def _slowest_rounds(p: float, links: int, cfg: McConfig, what: str) -> McEstimate:
+    """Mean over trials of the slowest of ``links`` geometric(p) rounds."""
+    rng = np.random.default_rng(cfg.seed)
+
+    def draw(b):
+        mx = _geometric_row_max(rng, p, (b, links))
+        # float sums are exact below 2**53 and, unlike int64, never wrap
+        return (mx.astype(float),), mx
+
+    chunk = min(_TRIAL_CHUNK, max(1, _DRAW_BLOCK // links))
+    return _sample(cfg, chunk, draw, what)[0]
 
 
 def mc_expected_max_rounds(n_links: int, p_g: float, cfg: McConfig) -> McEstimate:
@@ -237,14 +235,8 @@ def mc_chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
                              plan)
     rng = np.random.default_rng(cfg.seed)
     overhead = plan.l_km / constants.c
-    # derived from q alone, the trial chunk reproducibly bounds its expected
-    # pass count, and so its slow-pass uniforms
-    trial_chunk = max(1, min(_TRIAL_CHUNK, int(_PASS_BUDGET * q)))
-    sums = np.zeros(4)   # T_tot, T_tot**2, E_F, E_F**2 over trials
-    flagged = 0
-    remaining = cfg.samples
-    while remaining > 0:
-        b = min(trial_chunk, remaining)
+
+    def draw(b):
         # Heralded links hold until the slowest finishes; the connection
         # stage then either succeeds or the whole pass restarts, so the
         # number of passes per trial is geometric in q.
@@ -253,18 +245,16 @@ def mc_chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
         last = rng.geometric(p_g, size=(b, racers))
         last_max = last.max(axis=1)
         rounds = earlier + last_max
-        flagged += int(np.count_nonzero(rounds > cfg.max_rounds))
         t_trial = rounds.astype(float) * t_rep + attempts.astype(float) * overhead
         wait, index = np.unique(last_max[:, None] - last, return_inverse=True)
         # a memory waits l0/c for its own heralding before the hold begins,
         # so a first-try hold lasts the record's (L + L0)/c storage
         ef = mean_entanglement(platform, space, wait * t_rep + plan.storage_us,
                                noise)
-        ef_trial = ef[index].reshape(last.shape).mean(axis=1)
-        sums += [np.sum(t_trial), np.sum(t_trial * t_trial), np.sum(ef_trial),
-                 np.sum(ef_trial * ef_trial)]
-        remaining -= b
-    _check_flagged(flagged, cfg.samples, "held-protocol rounds")
-    return ChainMcResult(
-        t_tot_us=_estimate(*sums[:2].tolist(), cfg.samples),
-        mean_ef=_estimate(*sums[2:].tolist(), cfg.samples), plan=plan)
+        return (t_trial, ef[index].reshape(last.shape).mean(axis=1)), rounds
+
+    # derived from q alone, the trial chunk reproducibly bounds its expected
+    # pass count, and so its slow-pass uniforms
+    trial_chunk = max(1, min(_TRIAL_CHUNK, int(_PASS_BUDGET * q)))
+    return ChainMcResult(*_sample(cfg, trial_chunk, draw,
+                                  "held-protocol rounds"), plan)

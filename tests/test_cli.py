@@ -180,6 +180,19 @@ class TestCommands:
         assert out == ""
         assert err.startswith(f"error: {prefix}: ")
 
+    def test_mode_lifetime_underflow_exits_3(self, tmp_path, capsys):
+        # gamma = 1e-18 us/mm: tau = gamma/K underflows to 0 at K = 1e308
+        cfg = tmp_path / "hot.json"
+        cfg.write_text('{"mode_space": {"temperature": 1e40}}')
+        argv = ["ef-curve", "--grid", "0:10:2", "--config", str(cfg)]
+        assert run(argv + ["--modes", "1e305"]) == 0
+        capsys.readouterr()
+        assert run(argv + ["--modes", "10,1e308"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: modes: ")
+        assert err.count("\n") == 1
+
     def test_non_utf8_config_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "latin.json"
         cfg.write_bytes(b'{"spdc": {"chi": 0.1}}\xff')

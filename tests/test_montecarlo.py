@@ -13,9 +13,11 @@ from muxrepeater.modes import ModeSpace
 from muxrepeater.montecarlo import (
     _COLUMN_MAX_UP_TO,
     _DRAW_BLOCK,
+    _TRIAL_CHUNK,
     McConfig,
     SimulationBudgetError,
     _earlier_pass_rounds,
+    _estimate,
     _geometric_row_max,
     _geometric_search_sums,
     mc_chain_time,
@@ -338,25 +340,61 @@ class TestGeometricSearchSums:
         assert np.all((later == loop[-1]) | (later >= 1.0))
 
 
-class TestDrawBlocks:
-    """Row maxima drawn in blocks of whole rows equal one (rows, m) draw.
+class TestTrialChunks:
+    """Slowest-racer estimates equal those of one (samples, m) draw.
 
-    The rows span three full draw blocks and a ragged fourth, on both sides
-    of p = 1/3 and of the switch from column-wise maxima to max(axis=1).
+    The samples span three full trial chunks and a ragged fourth, on both
+    sides of p = 1/3 and of the switch from column-wise maxima to
+    max(axis=1).  The sums of integer round counts are exact, so the
+    chunking must not change a bit.
     """
 
     @pytest.mark.parametrize("m", [1, 12, 13, _COLUMN_MAX_UP_TO,
                                    _COLUMN_MAX_UP_TO + 1])
     @pytest.mark.parametrize("p", [0.05, 0.5])
-    def test_blocks_equal_one_draw(self, p, m):
-        rows = 3 * (_DRAW_BLOCK // m) + 7
+    def test_chunks_equal_one_draw(self, p, m):
+        samples = 3 * min(_TRIAL_CHUNK, _DRAW_BLOCK // m) + 7
         seed = 51 + m
-        direct_rng = np.random.default_rng(seed)
-        direct = direct_rng.geometric(p, size=(rows, m)).max(axis=1)
-        rng = np.random.default_rng(seed)
-        maxima = _geometric_row_max(rng, p, (rows, m))
-        assert np.array_equal(maxima, direct)
-        assert rng.bit_generator.state == direct_rng.bit_generator.state
+        est = mc_expected_max_rounds(m, p, McConfig(samples=samples,
+                                                    seed=seed))
+        direct = np.random.default_rng(seed).geometric(
+            p, size=(samples, m)).max(axis=1).astype(float)
+        assert est == _estimate(float(direct.sum()),
+                                float((direct * direct).sum()), samples)
+
+
+class TestFlaggedSamples:
+    """Each sampler fails when over 0.1 % of samples pass max_rounds.
+
+    max_rounds is about twice the expected rounds per sample, so the check
+    before any draw passes and the shared trial loop flags the samples.
+    """
+
+    MESSAGE = (r"^\d+ of 2000 samples exceeded max_rounds while simulating "
+               r"{}; raise max_rounds or rethink the parameters$")
+
+    def test_slowest_link(self):
+        cfg = McConfig(samples=2000, seed=61, max_rounds=4)
+        with pytest.raises(SimulationBudgetError, match=self.MESSAGE.format(
+                "slowest-link waiting rounds")):
+            mc_expected_max_rounds(1, 0.5, cfg)
+
+    @pytest.mark.parametrize("arch, what", [
+        ("ahierarchical", "blind-protocol rounds"),
+        ("semihierarchical", "held-protocol rounds")])
+    def test_chain(self, arch, what):
+        bundle = default_bundle()
+        temporal = bundle.platform("Temporal")
+        space = ModeSpace.default()
+        plan = chain_time(arch, temporal, 3, 60.0, bundle.constants, space)
+        blind = arch == "ahierarchical"
+        factor = 1.0 if blind else expected_max_rounds(2, plan.p_g)
+        cfg = McConfig(samples=2000, seed=62,
+                       max_rounds=math.ceil(2 * factor / plan.p_success))
+        with pytest.raises(SimulationBudgetError,
+                           match=self.MESSAGE.format(what)):
+            mc_chain_time(arch, temporal, 3, 60.0, bundle.constants, space,
+                          cfg)
 
 
 class TestSlowPassDraw:
