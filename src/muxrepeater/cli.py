@@ -69,71 +69,25 @@ def _parse_grid(text: str) -> list[float]:
     return [float(x) for x in np.linspace(start, stop, points)]
 
 
-def _parse_l_grid(text: str) -> list[float]:
-    grid = _parse_grid(text)
-    if grid[0] <= 0:
-        raise argparse.ArgumentTypeError("total distances need grid start > 0")
-    return grid
-
-
-def _parse_name_list(text: str) -> list[str]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    if not names:
-        raise argparse.ArgumentTypeError("expected a comma-separated list")
-    return names
-
-
-def _parse_arch_list(text: str) -> list[str]:
-    names = _parse_name_list(text)
-    for name in names:
-        if name not in chain.ARCHITECTURES:
-            raise argparse.ArgumentTypeError(
-                f"unknown architecture {name!r}; choose from "
-                f"{', '.join(chain.ARCHITECTURES)}")
-    return names
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad number: {exc}") from exc
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("expected a positive finite number")
-    return value
-
-
-def _open_unit_float(text: str) -> float:
-    value = _positive_float(text)
-    if not value < 1:
-        raise argparse.ArgumentTypeError("expected a number in (0, 1)")
-    return value
-
-
-def _int_at_least(minimum: int, or_zero: bool = False):
-    def parse(text: str) -> int:
+def _bounded(parse, ok, expected: str):
+    """An argparse type: ``parse(text)``, kept only when ``ok`` accepts it."""
+    def convert(text: str):
         try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad integer: {exc}") from exc
-        if value < minimum and not (or_zero and value == 0):
-            raise argparse.ArgumentTypeError(
-                f"expected {'0 or ' if or_zero else ''}an integer >= {minimum}")
-        return value
-    return parse
+            value = parse(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return convert
 
 
-def _parse_float_list(text: str) -> list[float]:
-    values = [_positive_float(part) for part in text.split(",") if part.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError("expected positive finite numbers")
-    return values
-
-
-def _parse_n_nodes(text: str) -> int | None:
-    if text.lower() in ("inf", "infinity"):
-        return None
-    return _int_at_least(2)(text)
+def _comma_list(parse, ok, expected: str):
+    """A :func:`_bounded` list: one or more non-blank comma-separated items."""
+    return _bounded(
+        lambda text: [parse(part) for part in text.split(",") if part.strip()],
+        lambda items: bool(items) and all(map(ok, items)), expected)
 
 
 def _record_row(record: chain.ChainPlan) -> tuple:
@@ -284,10 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
     waiting.add_argument("--waiting-count", choices=chain.WAITING_COUNTS,
                          default="links")
     sweep_options = argparse.ArgumentParser(add_help=False)
-    sweep_options.add_argument("--grid", type=_parse_l_grid, default="100:1000:10",
-                               metavar="L_START:STOP:POINTS[:SCALE]")
-    sweep_options.add_argument("--n-max", type=_int_at_least(2), default=200)
+    sweep_options.add_argument(
+        "--grid", type=_bounded(_parse_grid, lambda grid: grid[0] > 0,
+                                "a total-distance grid with start > 0"),
+        default="100:1000:10", metavar="L_START:STOP:POINTS[:SCALE]")
+    sweep_options.add_argument(
+        "--n-max", type=_bounded(int, lambda n: n >= 2, "an integer >= 2"),
+        default=200)
     sweep = [sweep_options, waiting]   # rate-curve and optimize
+    names = _comma_list(str.strip, bool, "a comma-separated list of names")
 
     def command(name, func, help, parents=()):
         sub = subparsers.add_parser(name, parents=[io, *parents], help=help)
@@ -300,24 +259,29 @@ def build_parser() -> argparse.ArgumentParser:
                   "link heralding probability versus elementary distance")
     sub.add_argument("--grid", type=_parse_grid, default="10:250:100",
                      metavar="L0_START:STOP:POINTS[:SCALE]")
-    sub.add_argument("--platforms", type=_parse_name_list,
+    sub.add_argument("--platforms", type=names,
                      default=["WV-MUX-QM", "WV-parallel", "Temporal"])
 
     sub = command("ef-curve", _cmd_ef_curve,
                   "per-mode and mode-averaged ebit content versus distance")
     sub.add_argument("--grid", type=_parse_grid, default="10:400:100",
                      metavar="L0_START:STOP:POINTS[:SCALE]")
-    sub.add_argument("--modes", type=_parse_float_list, default=[10.0, 100.0, 1000.0],
+    sub.add_argument("--modes", default=[10.0, 100.0, 1000.0],
+                     type=_comma_list(float, lambda k: 0 < k < math.inf,
+                                      "positive finite numbers"),
                      help="wavevector moduli (1/mm) to trace individually")
-    sub.add_argument("--chi", type=_open_unit_float, default=0.05,
+    sub.add_argument("--chi", default=0.05,
+                     type=_bounded(float, lambda chi: 0 < chi < 1,
+                                   "a number in (0, 1)"),
                      help="effective excitation probability")
 
     sub = command("rate-curve", _cmd_rate_curve,
                   "optimized per-ebit transfer time versus total distance", sweep)
-    sub.add_argument("--platforms", type=_parse_name_list,
+    sub.add_argument("--platforms", type=names,
                      default=["WV-MUX-QM", "WV-parallel", "Temporal", "Lattice-SM"])
-    sub.add_argument("--archs", type=_parse_arch_list,
-                     default=["ahierarchical", "semihierarchical"])
+    sub.add_argument("--archs", default=["ahierarchical", "semihierarchical"],
+                     type=_comma_list(str.strip, lambda a: a in chain.ARCHITECTURES,
+                                      f"names from {', '.join(chain.ARCHITECTURES)}"))
     sub.add_argument("--no-spdc", action="store_true",
                      help="omit the midway-source baseline rows")
 
@@ -332,10 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = command("limits", _cmd_limits,
                   "maximal reach per platform from the entanglement threshold")
-    sub.add_argument("--k-ref", type=_positive_float, default=10.0,
+    sub.add_argument("--k-ref", default=10.0,
+                     type=_bounded(float, lambda k: 0 < k < math.inf,
+                                   "a positive finite number"),
                      help="reference wavevector (1/mm) for mode-dependent lifetimes")
-    sub.add_argument("--n-nodes", type=_parse_n_nodes, default=None,
-                     help="node count for the held-architecture bound ('inf' default)")
+    # None stands for the many-node limit
+    sub.add_argument(
+        "--n-nodes", default=None,
+        type=_bounded(lambda text: None if text.lower() in ("inf", "infinity")
+                      else int(text), lambda n: n is None or n >= 2,
+                      "inf or an integer >= 2"),
+        help="node count for the held-architecture bound ('inf' default)")
 
     sub = command("spdc", _cmd_spdc, "per-ebit time of the midway-source baseline")
     sub.add_argument("--grid", type=_parse_grid, default="100:1000:10",
@@ -344,11 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = command("mc-validate", _cmd_mc_validate,
                   "analytic versus Monte Carlo comparison table", [waiting])
     # one sample has no standard error, so no z-score
-    sub.add_argument("--samples", type=_int_at_least(2), default=1_000_000)
-    sub.add_argument("--seed", type=_int_at_least(0), default=42,
+    sub.add_argument("--samples", default=1_000_000,
+                     type=_bounded(int, lambda n: n >= 2, "an integer >= 2"))
+    sub.add_argument("--seed", default=42,
+                     type=_bounded(int, lambda n: n >= 0, "an integer >= 0"),
                      help="base seed; cell i uses seed+i, the chain check seed+1000")
-    sub.add_argument("--chain-samples", type=_int_at_least(2, or_zero=True),
-                     default=100_000,
+    sub.add_argument("--chain-samples", default=100_000,
+                     type=_bounded(int, lambda n: n == 0 or n >= 2,
+                                   "0 or an integer >= 2"),
                      help="trials for the end-to-end chain check (0 skips it)")
 
     return parser

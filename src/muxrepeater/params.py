@@ -138,6 +138,10 @@ class ModeSpaceParams:
         # the band measure squares K_max in Python floats, which raise on overflow
         _require(math.isfinite(self.k_max * float(self.k_max)), "k_max",
                  "must be small enough that K_max**2 stays a finite float")
+        # a subnormal band measure loses the digits of the spectral average
+        _require(self.k_max * float(self.k_max) - self.k_min * float(self.k_min)
+                 >= sys.float_info.min, "k_max",
+                 "must be large enough that K_max**2 - K_min**2 is a normal float")
         _require(self.beta > 0, "beta", "must be strictly positive")
         _require(self.temperature > 0, "temperature", "must be strictly positive")
         _require(self.gamma_policy in GAMMA_POLICIES, "gamma_policy",

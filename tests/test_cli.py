@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from muxrepeater import montecarlo
 from muxrepeater.chain import expected_max_rounds, mean_entanglement, spdc_time
-from muxrepeater.cli import _usable_cpus, _z_score, run
+from muxrepeater.cli import _usable_cpus, _z_score, build_parser, run
 from muxrepeater.modes import ModeSpace
 from muxrepeater.params import (PhysicalConstants, SpdcParams, dump_config,
                                 load_config)
@@ -88,9 +89,36 @@ class TestCommands:
         ["mc-validate", "--samples", "1"],
         ["mc-validate", "--samples", "1.5"],
         ["mc-validate", "--chain-samples", "1"],
-        ["mc-validate", "--chain-samples", "-1"]])
+        ["mc-validate", "--chain-samples", "-1"],
+        ["rate-curve", "--n-max", "1"],
+        ["optimize", "--n-max", "x"],
+        ["ef-curve", "--chi", "0"],
+        ["ef-curve", "--chi", "nan"],
+        ["limits", "--k-ref", "0"],
+        ["limits", "--k-ref", "-1"],
+        ["ef-curve", "--modes", "0"],
+        ["ef-curve", "--modes", "1e400"],
+        ["rate-curve", "--archs", ","],
+        ["limits", "--n-nodes", "0"],
+        ["limits", "--n-nodes", "2.5"],
+        ["mc-validate", "--seed", "1.5"],
+        ["mc-validate", "--chain-samples", "x"]])
     def test_out_of_range_number_exits_2(self, argv, capsys):
         assert run(argv) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["limits", "--n-nodes", "Infinity"], 0),
+        (["limits", "--n-nodes", "2"], 0),
+        (["ef-curve", "--chi", "0.999", "--grid", "0:1:2"], 0),
+        (["rate-curve", "--n-max", "2", "--grid", "100:200:2"], 0),
+        (["limits", "--k-ref", "1e-300"], 0),
+        (["ef-curve", "--modes", "1e300", "--grid", "0:1:2"], 0),
+        # two samples pass the parser; the z-score check then fails
+        (["mc-validate", "--samples", "2", "--chain-samples", "0",
+          "--seed", "0"], 4)])
+    def test_edge_of_range_number_is_accepted(self, argv, code, capsys):
+        assert run(argv) == code
         capsys.readouterr()
 
     def test_documented_inputs_are_accepted(self, capsys):
@@ -147,6 +175,33 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: K_max: ")
+
+    # a band measure K_max**2 - K_min**2 below the smallest normal float
+    # gave a nan average (first band) or one 4e-4 off at t = 0 (second)
+    @pytest.mark.parametrize("k_min, k_max, argv", [
+        (1e-300, 1e-299, ["rate-curve", "--grid", "10:100:2",
+                          "--platforms", "WV-MUX-QM", "--no-spdc"]),
+        (1e-170, 1e-160, ["ef-curve", "--grid", "0:100:2", "--modes", "1e-165"])])
+    def test_subnormal_band_measure_exits_3(self, tmp_path, capsys, k_min,
+                                            k_max, argv):
+        cfg = tmp_path / "band.json"
+        cfg.write_text(json.dumps({"mode_space": {"K_min": k_min, "K_max": k_max}}))
+        assert run(argv + ["--config", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: K_max: ") and err.count("\n") == 1
+
+    def test_normal_band_measure_keeps_the_average(self, tmp_path, capsys):
+        # K_max**2 = 4e-308 is just above the smallest normal float; at
+        # t = 0 every mode holds the same ebit, and so does the average, to
+        # the rounding the default band's quadrature shows too
+        cfg = tmp_path / "band.json"
+        cfg.write_text('{"mode_space": {"K_min": 1e-156, "K_max": 2e-154}}')
+        assert run(["ef-curve", "--grid", "0:100:2", "--modes", "1e-155",
+                    "--format", "json", "--config", str(cfg)]) == 0
+        mode, average = json.loads(capsys.readouterr().out)[:2]
+        assert average["series"] == "average"
+        assert average["E_F"] == pytest.approx(mode["E_F"], rel=1e-15)
 
     @pytest.mark.parametrize("text, argv, prefix", [
         ('{"spdc": {"f_rep": 1%s}}' % ("0" * 400), ["spdc"], "f_rep"),
@@ -665,3 +720,24 @@ class TestModuleEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "['muxrepeater', 'muxrepeater.params']", "False []"]
+
+
+class TestReadmeOptions:
+    def test_table_rows_are_the_parser_options(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        body = readme.read_text(encoding="utf-8").split("### Options\n")[1]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in body.split("\n#")[0].splitlines()
+                if line.startswith("| ") and "`--" in line]
+        [commands] = [action.choices for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        documented = sorted(
+            (command.strip("` "), option.strip("` "))
+            for names, options, *_ in rows
+            for command in (commands if names == "all" else names.split(","))
+            for option in options.split(","))
+        declared = sorted(
+            (command, option) for command, sub in commands.items()
+            for action in sub._actions for option in action.option_strings
+            if not isinstance(action, argparse._HelpAction))
+        assert documented == declared

@@ -7,9 +7,10 @@
 # this script, as `PYTHONPATH=src python -W error::RuntimeWarning -m
 # muxrepeater ...`, and writes NN-FORMAT.out (stdout), NN-FORMAT.err
 # (stderr) and NN-FORMAT.rc (exit code) to OUTDIR.  Two checkouts write the
-# same bytes exactly when `diff -r OUT_A OUT_B` prints nothing.  The last
-# five entries drive a clock period, a lifetime or the spectral cutoff past
-# the float range, where a run must still exit 0 with empty stderr.
+# same bytes exactly when `diff -r OUT_A OUT_B` prints nothing.  Entries
+# 16-20 drive a clock period, a lifetime or the spectral cutoff past the
+# float range, where a run must still exit 0 with empty stderr.  Entries
+# 21-25 run the list, node-count and seed options in a fresh process.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -52,4 +53,9 @@ optimize --arch semihierarchical --grid 100:1e308:2
 ef-curve --modes 1e-320
 ef-curve --grid 0:1e308:2 --modes 1e-320
 ef-curve --grid 1e-310:1:2
+pg-curve --grid 10:250:5:log --platforms Temporal,Lattice-SM
+rate-curve --grid 100:1000:4:log --archs semihierarchical --platforms Lattice-SM,Temporal
+optimize --platform Temporal --arch semihierarchical --grid 100:300:3 --n-max 50
+limits --n-nodes Infinity --k-ref 100
+mc-validate --samples 200000 --seed 42 --chain-samples 0
 EOF
