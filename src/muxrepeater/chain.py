@@ -11,6 +11,7 @@ price of an L/c confirmation overhead per attempt and of longer storage.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ _SIGNED_BINOMIALS = np.array([[(-1) ** (k + 1) * math.comb(m, k)
 # gathered this many terms
 _TAIL_EPS = 1e-16
 _TAIL_TERMS = 4096
+# harmonic numbers H_m are summed up to this m; past it they come from the
+# asymptotic series, whose error is below 1/(252 m^6) < 1e-31 there
+_HARMONIC_TABLE = 2 ** 16
 
 
 def p_enc_stage(eta_r: float, eta_det: float) -> tuple[float, float]:
@@ -106,8 +110,29 @@ def _tail_terms(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     # is at most m*(1-p)^j, so the tail past J is below m*(1-p)^(J+1)/p; J is
     # the least count (at least 1) with m*(1-p)^J/p <= _TAIL_EPS.
     with np.errstate(divide="ignore"):  # p = 1: log1p(-1) = -inf, J = 1
-        j = np.ceil(np.log(_TAIL_EPS * p / m) / np.log1p(-p))
+        ratio = _TAIL_EPS * p / m
+        # past m ~ 1e290 the ratio leaves the normal range: log its factors
+        log_ratio = np.where(ratio >= np.finfo(float).tiny, np.log(ratio),
+                             np.log(_TAIL_EPS * p) - np.log(m))
+        j = np.ceil(log_ratio / np.log1p(-p))
     return np.maximum(j, 1).astype(np.int64)
+
+
+def _harmonic(m: np.ndarray) -> np.ndarray:
+    """H_m for counts m >= 1, from a table of at most _HARMONIC_TABLE sums.
+
+    Past the table H_m = ln m + gamma + 1/(2m) - 1/(12m^2) + 1/(120m^4),
+    an alternating series whose error is below its first omitted term
+    1/(252m^6), so a count of any size builds no array of its length.
+    """
+    out = np.empty(m.shape)
+    summed = m <= _HARMONIC_TABLE
+    table = np.cumsum(1.0 / np.arange(1, m[summed].max(initial=0) + 1))
+    out[summed] = table[m[summed].astype(np.int64) - 1]
+    x = m[~summed].astype(float)
+    out[~summed] = np.log(x) + np.euler_gamma + (
+        1.0 / (2.0 * x) - 1.0 / (12.0 * x ** 2) + 1.0 / (120.0 * x ** 4))
+    return out
 
 
 def _expected_max_rounds(m: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -124,13 +149,12 @@ def _expected_max_rounds(m: np.ndarray, p: np.ndarray) -> np.ndarray:
         # so that it stays finite down to the smallest p
         k = np.arange(1, 13)
         ratios = p[exact, None] / -np.expm1(k * log_q[exact, None])
-        out[exact] = (np.sum(_SIGNED_BINOMIALS[m[exact]] * ratios, axis=1)
-                      / p[exact])
+        binomials = _SIGNED_BINOMIALS[m[exact].astype(np.int64)]
+        out[exact] = np.sum(binomials * ratios, axis=1) / p[exact]
         # Euler-Maclaurin: H_m/lambda + 1/2 with lambda = -log(1-p); the
         # endpoint corrections vanish with the summand's derivatives at j = 0
         # below order m
-        harmonic = np.cumsum(1.0 / np.arange(1, m[euler].max(initial=0) + 1))
-        out[euler] = harmonic[m[euler] - 1] / -log_q[euler] + 0.5
+        out[euler] = _harmonic(m[euler]) / -log_q[euler] + 0.5
     # every other row sums its own J terms as one segment of a ragged array
     tail = np.flatnonzero(~(exact | euler))
     counts = _tail_terms(m[tail], p[tail])
@@ -139,7 +163,8 @@ def _expected_max_rounds(m: np.ndarray, p: np.ndarray) -> np.ndarray:
         starts = np.cumsum(n) - n
         j = np.arange(n.sum()) - np.repeat(starts - 1, n)  # 1..J per row
         qj = np.exp(np.repeat(log_q[rows], n) * j)
-        terms = -np.expm1(np.repeat(m[rows], n) * np.log1p(-qj))
+        with np.errstate(over="ignore"):  # -inf past m ~ 1e307: the term is 1
+            terms = -np.expm1(np.repeat(m[rows], n) * np.log1p(-qj))
         out[rows] = 1.0 + np.add.reduceat(terms, starts)  # 1 is the j = 0 term
     return out
 
@@ -150,7 +175,8 @@ def expected_max_rounds(m: int, p: float) -> float:
     This is the mean number of clock periods until the slowest of m links
     has heralded, from one of three closed forms: inclusion-exclusion for
     m <= 12 and p <= 0.5, the Euler-Maclaurin limit H_m/(-log(1-p)) + 1/2
-    for m >= 13 and p <= 0.1, and otherwise the tail sum of P(max > j) cut
+    for m >= 13 and p <= 0.1 (H_m from its asymptotic series past
+    m = 2**16), and otherwise the tail sum of P(max > j) cut
     where its geometric tail bound falls below 1e-16 (Eisenberg, Stat.
     Probab. Lett. 78, 135 (2008)).  The exact treatment of this waiting
     factor is in Bernardes, Praxmeyer & van Loock, PRA 83, 012323 (2011).
@@ -158,7 +184,10 @@ def expected_max_rounds(m: int, p: float) -> float:
     if isinstance(p, (bool, np.bool_)) or not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
     _check_count(m, "m", 1)
-    return float(_expected_max_rounds(np.array([m]), np.array([p]))[0])
+    if m > sys.float_info.max:
+        raise ValueError("m must not exceed the float range")
+    # a float count: m may lie past the int64 range
+    return float(_expected_max_rounds(np.array([float(m)]), np.array([p]))[0])
 
 
 def mean_entanglement(platform: PlatformParams, space: ModeSpace, t_us,
@@ -211,6 +240,14 @@ class ChainPlan:
     t_per_ebit_s: float
 
 
+def _connections(platform: PlatformParams, n):
+    """P_enc at the node counts ``n``, and the final detection factor."""
+    eta_det = platform.enc_detector_efficiency
+    p_e, p_f = p_enc_stage(platform.eta_r, eta_det)
+    return (p_enc_chain(p_f, p_e, platform.eta_x, n),
+            (eta_det * platform.eta_x) ** 2)
+
+
 def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
                  l_km, constants: PhysicalConstants, space: ModeSpace,
                  noise: NoiseParams | None = None,
@@ -236,10 +273,7 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
         raise ValueError("total distance must be strictly positive and finite")
     l0_km = l_km / (n - 1)
     budget = link_physics.link_budget(platform, l0_km, constants)
-    eta_det = platform.enc_detector_efficiency
-    p_e, p_f = p_enc_stage(platform.eta_r, eta_det)
-    p_enc = p_enc_chain(p_f, p_e, platform.eta_x, n)
-    eta_final = (eta_det * platform.eta_x) ** 2
+    p_enc, eta_final = _connections(platform, n)
     p_eng = _int_power(budget.p_g, n - 1)   # all N-1 links herald at once
     with np.errstate(divide="ignore", over="ignore"):
         t_rep = l0_km / constants.c
@@ -272,6 +306,29 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
             t_tot_s=t_tot_s, rate_ebit_per_s=rate_s,
             q_ebit_per_s_per_node=rate_s / n,
             t_per_ebit_s=1.0 / rate_s)
+
+
+def _q_bound(architecture: str, platform: PlatformParams, n: int, l_km,
+             constants: PhysicalConstants, space: ModeSpace,
+             noise: NoiseParams | None = None):
+    """Upper bound on Q(N', L) at every node count N' >= ``n``, per distance.
+
+    Every efficiency is at most 1, so Q <= C * P_enc(N) * eta_final * c/L
+    (in 1/s), with C = 1 for the blind chain, where E_F and
+    (N-1)/N * P_eng are at most 1, and C = E(L/c)/N for the held chain,
+    whose attempt takes at least L/c and whose ebit content E at storage
+    (L+L0)/c is at most that at L/c.
+    P_enc gains a factor p_f or p_e (both <= 1/2) and eta_x <= 1 per node,
+    so the bound at ``n`` covers every larger N too.  The product is formed
+    before the division by L, so a P_enc that underflowed gives 0, not nan.
+    """
+    p_enc, eta_final = _connections(platform, n)
+    with np.errstate(divide="ignore", over="ignore"):
+        bound = p_enc * eta_final * constants.c * 1e6
+        if architecture == "semihierarchical":
+            bound = bound * mean_entanglement(
+                platform, space, l_km / constants.c, noise) / n
+        return bound / l_km
 
 
 def chain_time(architecture: str, platform: PlatformParams, n_nodes: int,

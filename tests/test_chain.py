@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -8,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from muxrepeater.chain import (
+    _HARMONIC_TABLE,
     _expected_max_rounds,
+    _harmonic,
     _tail_terms,
     chain_time,
     expected_max_rounds,
@@ -321,6 +325,46 @@ class TestWaitingFactor:
         for p in (0.05, 0.5, 0.95):
             values = [expected_max_rounds(m, p) for m in range(1, 39)]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("m", [_HARMONIC_TABLE + 1, 3 * _HARMONIC_TABLE,
+                                   2 ** 20])
+    def test_harmonic_series_past_the_table(self, m):
+        # fsum adds the rounded 1/k exactly, within 1.2e-16 relative of H_m;
+        # the series errs by under 1/(252 m^6) plus its own rounding
+        summed = math.fsum(1.0 / k for k in range(1, m + 1))
+        assert _harmonic(np.array([m]))[0] == pytest.approx(summed, rel=4e-16)
+
+    def test_harmonic_table_ends_where_the_series_starts(self):
+        m = np.array([_HARMONIC_TABLE - 1, _HARMONIC_TABLE, _HARMONIC_TABLE + 1])
+        h = _harmonic(m)
+        assert h[0] == np.cumsum(1.0 / np.arange(1, m[0] + 1))[-1]
+        assert np.diff(h) == pytest.approx(1.0 / m[1:], rel=1e-9)
+
+    @pytest.mark.parametrize("m, p", [(10 ** 20, 0.5), (2 ** 62, 0.01),
+                                      (10 ** 8, 0.01)])
+    def test_huge_racer_counts(self, m, p):
+        # counts past the int64 range or the harmonic table still match the
+        # summed tail, and no array of length m is built
+        tracemalloc.start()
+        try:
+            got = expected_max_rounds(m, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert got == pytest.approx(expected_max_oracle(m, p), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.01, 0.5, 0.999])
+    def test_counts_up_to_the_float_range(self, p):
+        # past m ~ 1e290 the tail bound's ratio and m*log1p(-q^j) leave the
+        # float range; the counts and terms must not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (10 ** 291, 2 ** 1023, int(sys.float_info.max)):
+                assert expected_max_rounds(m, p) == pytest.approx(
+                    expected_max_oracle(m, p), rel=1e-12)
+        with pytest.raises(ValueError, match="float range"):
+            expected_max_rounds(2 ** 1024, p)
 
 
 class TestChainTime:

@@ -1,19 +1,53 @@
 import math
+import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from muxrepeater import werner
-from muxrepeater.chain import _chain_block, _rows, chain_time
+from muxrepeater import cli, sweep as sweep_module, werner
+from muxrepeater.chain import _chain_block, _q_bound, _rows, chain_time
 from muxrepeater.modes import ModeSpace
-from muxrepeater.params import default_bundle
-from muxrepeater.sweep import _BLOCK_ENTRIES, sweep
+from muxrepeater.params import (DECOHERENCE_KINDS, ENC_DETECTION_KINDS,
+                                NoiseParams, PlatformParams, default_bundle)
+from muxrepeater.sweep import _BLOCK_ENTRIES, _CHUNK, sweep
 
 BUNDLE = default_bundle()
 ARCHS = ["ahierarchical", "semihierarchical"]
 WV = [BUNDLE.platform("WV-MUX-QM"), BUNDLE.platform("WV-parallel")]
+# distances whose optimal Q is subnormal, and their N*
+SUBNORMAL_ROWS = [("WV-parallel", "ahierarchical", 14607.739515140565, 6),
+                  ("Temporal", "ahierarchical", 15105.210063466075, 102),
+                  ("Lattice-SM", "semihierarchical", 131388.71482469767, 312)]
+
+
+@st.composite
+def platforms(draw):
+    """A platform drawn from across the accepted parameter ranges."""
+    unit = st.floats(1e-3, 1.0)
+    spectral = draw(st.booleans())
+    return PlatformParams(
+        name="drawn", modes=draw(st.integers(1, 10 ** 6)),
+        chi=draw(st.floats(1e-6, 0.9)), eta_r=draw(unit), eta_x=draw(unit),
+        eta_s=draw(unit), eta_m=draw(unit), multiplexed=draw(st.booleans()),
+        enc_detection=draw(st.sampled_from(ENC_DETECTION_KINDS)),
+        decoherence=("gaussian" if spectral
+                     else draw(st.sampled_from(DECOHERENCE_KINDS))),
+        tau_ms=None if spectral else draw(st.floats(1e-3, 1e4)))
+
+
+def block_spy(monkeypatch):
+    """Record the (distances, node counts) shape of every sweep block."""
+    shapes = []
+
+    def spy(architecture, platform, n, l_km, *args):
+        shapes.append((np.size(l_km), np.size(n)))
+        return _chain_block(architecture, platform, n, l_km, *args)
+
+    monkeypatch.setattr(sweep_module, "_chain_block", spy)
+    return shapes
 
 
 def bundle_and_space():
@@ -62,14 +96,17 @@ class TestOptimizeNodes:
                              space)
             assert best.q_ebit_per_s_per_node >= rec.q_ebit_per_s_per_node
 
-    def test_all_zero_ties_break_to_smallest(self):
+    @pytest.mark.parametrize("n_max", [9, 10 ** 8])
+    def test_all_zero_ties_break_to_smallest(self, n_max):
         bundle, space = bundle_and_space()
         temporal = bundle.platform("Temporal")
-        # beyond the reach cutoff every node count gives Q = 0
-        best, = sweep([4000.0], [temporal], ["semihierarchical"],
-                      bundle.constants, space, n_max=9)
-        assert best.n_nodes == 2
-        assert best.q_ebit_per_s_per_node == 0.0
+        # beyond the reach cutoff every node count gives Q = 0, and at
+        # 151 km every storage time (L + L0)/c is past it; such a row
+        # closes only once the bound underflows
+        records = sweep([151.0, 4000.0], [temporal], ["semihierarchical"],
+                        bundle.constants, space, n_max=n_max)
+        assert [r.n_nodes for r in records] == [2, 2]
+        assert [r.q_ebit_per_s_per_node for r in records] == [0.0, 0.0]
 
     @given(st.sampled_from([p.name for p in BUNDLE.platforms]),
            st.sampled_from(["ahierarchical", "semihierarchical"]),
@@ -134,12 +171,14 @@ class TestOptimizeNodes:
             sweep([550.0], [wv], ["ahierarchical"], bundle.constants, space,
                   n_max=n_max)
 
-    def test_n_max_two_searches_two_nodes_only(self):
+    def test_n_max_two_searches_two_nodes_only(self, monkeypatch):
         bundle, space = bundle_and_space()
+        shapes = block_spy(monkeypatch)
         records = sweep([100.0, 550.0, 2000.0], bundle.platforms, ARCHS,
                         bundle.constants, space, n_max=2)
         assert len(records) == 3 * len(bundle.platforms) * len(ARCHS)
         assert {r.n_nodes for r in records} == {2}
+        assert {n for _, n in shapes} == {1}
 
     def test_waiting_count_is_explicit(self):
         bundle, space = bundle_and_space()
@@ -263,8 +302,9 @@ class TestSweep:
 
     def test_platforms_share_spectral_averages(self, monkeypatch):
         # both wavevector platforms store for the same times with one
-        # chi_eff and lifetime law, so each (L, N, architecture) is
-        # integrated once
+        # chi_eff and lifetime law, and every walk starts with the same
+        # chunk over the whole slice, so that chunk is integrated once per
+        # architecture, not once per platform and architecture
         rows = []
         average_ef = werner._average_ef
 
@@ -274,10 +314,14 @@ class TestSweep:
 
         monkeypatch.setattr(werner, "_average_ef", counting)
         grid = np.linspace(100.0, 1000.0, 10)
-        records = sweep(grid, WV, ARCHS, BUNDLE.constants, ModeSpace.default(),
-                        n_max=200)
-        assert len(records) == 40
-        assert sum(rows) == 2 * 10 * 199
+        integrated = []
+        for platforms in (WV, WV[:1], WV[1:]):
+            rows.clear()
+            records = sweep(grid, platforms, ARCHS, BUNDLE.constants,
+                            ModeSpace.default(), n_max=200)
+            assert len(records) == 20 * len(platforms)
+            integrated.append(sum(rows))
+        assert integrated[0] == integrated[1] + integrated[2] - 2 * 10 * _CHUNK
 
     def test_distance_slices_match_single_distances(self):
         # 5 x 2999 (L, N) entries overflow one block, so the grid is sliced
@@ -290,3 +334,79 @@ class TestSweep:
                   for record in sweep([l_km], WV, ARCHS, BUNDLE.constants,
                                       space, n_max=n_max)]
         assert whole == single
+
+
+class TestNodeCountBound:
+    @given(platforms(), st.sampled_from(ARCHS), st.sampled_from(["links", "nodes"]),
+           st.floats(1.0, 2e5), st.integers(2, 700), st.floats(0.0, 0.05))
+    @example(BUNDLE.platform("Temporal"), "semihierarchical", "links", 150.5,
+             290, 0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_bound_covers_every_larger_node_count(self, platform, arch, count,
+                                                  l_km, n, b):
+        space, noise = ModeSpace.default(), NoiseParams(B=b)
+        block = _chain_block(arch, platform, np.arange(n, n + 40), l_km,
+                             BUNDLE.constants, space, noise, count)
+        bound = _q_bound(arch, platform, n, np.array([l_km]),
+                         BUNDLE.constants, space, noise)
+        assert np.all(block.q_ebit_per_s_per_node <= bound)
+
+    @given(st.lists(st.one_of(st.floats(1.0, 2e5),
+                              st.sampled_from([row[2] for row in SUBNORMAL_ROWS]),
+                              st.floats(148.0, 152.0)),
+                    min_size=1, max_size=4),
+           st.one_of(st.sampled_from(BUNDLE.platforms), platforms()),
+           st.sampled_from(ARCHS), st.sampled_from(["links", "nodes"]),
+           st.integers(2, 700))
+    @example([14607.739515140565, 3e4], BUNDLE.platform("WV-parallel"),
+             "ahierarchical", "links", 700)
+    @example([15105.210063466075, 2e4], BUNDLE.platform("Temporal"),
+             "ahierarchical", "links", 700)
+    @example([131388.71482469767, 2e5], BUNDLE.platform("Lattice-SM"),
+             "semihierarchical", "links", 700)
+    @example([150.5, 151.0], BUNDLE.platform("Temporal"),
+             "semihierarchical", "links", 700)
+    @settings(max_examples=40, deadline=None)
+    def test_pruned_records_match_full_argmax(self, grid, platform, arch,
+                                              count, n_max):
+        space = ModeSpace.default()
+        block = _chain_block(arch, platform, np.arange(2, n_max + 1),
+                             np.array(grid)[:, None], BUNDLE.constants, space,
+                             waiting_count=count)
+        best = block.q_ebit_per_s_per_node.argmax(axis=1)
+        assert sweep(grid, [platform], [arch], BUNDLE.constants, space,
+                     n_max=n_max, waiting_count=count) == \
+            _rows(block, np.arange(len(grid)), best)
+
+    def test_subnormal_rows_keep_their_optimum(self):
+        space = ModeSpace.default()
+        for name, arch, l_km, n_star in SUBNORMAL_ROWS:
+            record, = sweep([l_km], [BUNDLE.platform(name)], [arch],
+                            BUNDLE.constants, space, n_max=2000)
+            assert 0.0 < record.q_ebit_per_s_per_node < sys.float_info.min
+            assert record.n_nodes == n_star
+
+    def test_huge_n_max_matches_and_stays_small(self, monkeypatch):
+        # P_enc underflows within some 540 node counts, so every row closes
+        # there and n_max = 10**8 costs no more than n_max = 2000
+        names = ["WV-MUX-QM", "Temporal", "Lattice-SM"]
+        grid = [100.0, 150.5, 151.0, 700.0, 2500.0]
+        args = (grid, [BUNDLE.platform(name) for name in names], ARCHS,
+                BUNDLE.constants, ModeSpace.default())
+        shapes = block_spy(monkeypatch)
+        start = time.perf_counter()
+        huge = sweep(*args, n_max=10 ** 8)
+        assert time.perf_counter() - start < 1.0
+        assert max(rows * n for rows, n in shapes) <= _BLOCK_ENTRIES
+        assert huge == sweep(*args, n_max=2000)
+        temporal_held = huge[len(names) * len(ARCHS) + 3]
+        assert (temporal_held.platform, temporal_held.n_nodes) == ("Temporal", 300)
+
+    def test_default_rate_curve_evaluates_a_tenth_of_its_entries(
+            self, monkeypatch, capsys):
+        shapes = block_spy(monkeypatch)
+        assert cli.run(["rate-curve"]) == 0
+        capsys.readouterr()
+        full = 10 * len(BUNDLE.platforms) * len(ARCHS) * 199
+        assert full == 15920
+        assert sum(rows * n for rows, n in shapes) <= 0.10 * full

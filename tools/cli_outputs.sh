@@ -11,6 +11,8 @@
 # 16-20 drive a clock period, a lifetime or the spectral cutoff past the
 # float range, where a run must still exit 0 with empty stderr.  Entries
 # 21-25 run the list, node-count and seed options in a fresh process.
+# Entry 26 searches up to N = 10**8, whose bytes equal those of
+# --n-max 2000, and entry 27 walks the held Temporal chain out to N* = 300.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -58,4 +60,6 @@ rate-curve --grid 100:1000:4:log --archs semihierarchical --platforms Lattice-SM
 optimize --platform Temporal --arch semihierarchical --grid 100:300:3 --n-max 50
 limits --n-nodes Infinity --k-ref 100
 mc-validate --samples 200000 --seed 42 --chain-samples 0
+optimize --grid 100:200:2 --n-max 100000000
+optimize --platform Temporal --arch semihierarchical --grid 148:152:9 --n-max 2000
 EOF
