@@ -55,15 +55,6 @@ def p_enc_stage(eta_r: float, eta_det: float) -> tuple[float, float]:
     return p_e, p_e / 4.0
 
 
-def _check_node_counts(n_nodes) -> None:
-    """Reject a node count, or array of them, that is not an integer >= 2."""
-    n_nodes = np.asarray(n_nodes)
-    if not np.issubdtype(n_nodes.dtype, np.integer):
-        raise ValueError("node counts must be integers")
-    if np.any(n_nodes < 2):
-        raise ValueError("a chain needs at least 2 nodes")
-
-
 def _racers(n_nodes, waiting_count: str):
     """Heralders the held wait races: N-1 ("links") or N ("nodes")."""
     if waiting_count not in WAITING_COUNTS:
@@ -99,7 +90,11 @@ def p_enc_chain(p_f: float, p_e: float, eta_x: float, n_nodes):
     for name, value in (("p_f", p_f), ("p_e", p_e), ("eta_x", eta_x)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1]")
-    _check_node_counts(n_nodes)
+    counts = np.asarray(n_nodes)
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError("node counts must be integers")
+    if np.any(counts < 2):
+        raise ValueError("a chain needs at least 2 nodes")
     first = (n_nodes - 1) // 2
     later = (n_nodes - 2) // 2
     return p_f ** first * p_e ** later * eta_x ** n_nodes
@@ -191,14 +186,13 @@ def expected_max_rounds(m: int, p: float) -> float:
 
 
 def mean_entanglement(platform: PlatformParams, space: ModeSpace, t_us,
-                      noise: NoiseParams | None = None):
+                      noise: NoiseParams = NoiseParams()):
     """Mode-averaged ebit content of one stored link after time t.
 
     Platforms with a fixed lifetime evaluate a single visibility with their
     decoherence law; mode-dependent platforms average over the wavevector
     band.  ``t_us`` may be an array of storage times.
     """
-    noise = noise or NoiseParams()
     chi_eff = noise.effective_chi(platform)
     if platform.tau_us is None:
         ef = werner._average_ef(space, t_us, chi_eff)
@@ -250,7 +244,7 @@ def _connections(platform: PlatformParams, n):
 
 def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
                  l_km, constants: PhysicalConstants, space: ModeSpace,
-                 noise: NoiseParams | None = None,
+                 noise: NoiseParams = NoiseParams(),
                  waiting_count: str = "links",
                  averages: dict | None = None) -> ChainPlan:
     """Chain time budget for every node count in the integer array ``n``.
@@ -267,13 +261,13 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
     """
     if architecture not in ARCHITECTURES:
         raise ValueError(f"architecture must be one of {ARCHITECTURES}")
+    # p_enc_chain checks the node counts before any other use of n
+    p_enc, eta_final = _connections(platform, n)
     racers = _racers(n, waiting_count)
-    _check_node_counts(n)
     if not np.all((l_km > 0) & np.isfinite(l_km)):
         raise ValueError("total distance must be strictly positive and finite")
     l0_km = l_km / (n - 1)
     budget = link_physics.link_budget(platform, l0_km, constants)
-    p_enc, eta_final = _connections(platform, n)
     p_eng = _int_power(budget.p_g, n - 1)   # all N-1 links herald at once
     with np.errstate(divide="ignore", over="ignore"):
         t_rep = l0_km / constants.c
@@ -288,7 +282,7 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
             t_tot = (t_rep * waits + l_km / constants.c) / p_success
             storage = (l_km + l0_km) / constants.c
         averages = {} if averages is None else averages
-        key = (architecture, (noise or NoiseParams()).effective_chi(platform),
+        key = (architecture, noise.effective_chi(platform),
                platform.tau_us, platform.decoherence)
         if key not in averages:
             averages[key] = mean_entanglement(platform, space, storage, noise)
@@ -310,7 +304,7 @@ def _chain_block(architecture: str, platform: PlatformParams, n: np.ndarray,
 
 def _q_bound(architecture: str, platform: PlatformParams, n: int, l_km,
              constants: PhysicalConstants, space: ModeSpace,
-             noise: NoiseParams | None = None):
+             noise: NoiseParams = NoiseParams()):
     """Upper bound on Q(N', L) at every node count N' >= ``n``, per distance.
 
     Every efficiency is at most 1, so Q <= C * P_enc(N) * eta_final * c/L
@@ -333,14 +327,15 @@ def _q_bound(architecture: str, platform: PlatformParams, n: int, l_km,
 
 def chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
                l_km: float, constants: PhysicalConstants, space: ModeSpace,
-               noise: NoiseParams | None = None,
+               noise: NoiseParams = NoiseParams(),
                waiting_count: str = "links") -> ChainPlan:
     """Evaluate the full time budget of one chain configuration.
 
     Parameters
     ----------
     architecture : "ahierarchical" or "semihierarchical"
-    platform, n_nodes, l_km : chain configuration; L0 = L/(N-1).
+    platform, n_nodes, l_km : one chain configuration, L0 = L/(N-1);
+        :func:`muxrepeater.sweep.sweep` takes grids.
     constants, space, noise : physical inputs; ``noise`` defaults to zero
         read-out noise.
     waiting_count : heralding processes racing in the semihierarchical
@@ -358,6 +353,9 @@ def chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
     content is zero is still a valid record with zero rate and infinite
     per-ebit time.
     """
+    if np.ndim(n_nodes) or np.ndim(l_km):
+        raise ValueError("chain_time takes one node count and one distance; "
+                         "use sweep for a grid")
     block = _chain_block(architecture, platform, np.array([n_nodes]), l_km,
                          constants, space, noise, waiting_count)
     return _rows(block, [0])[0]
@@ -383,8 +381,8 @@ class RangeLimits:
 def range_limits(platform: PlatformParams, space: ModeSpace,
                  k_ref_inv_mm: float | None = None,
                  n_nodes: int | None = None,
-                 constants: PhysicalConstants | None = None,
-                 noise: NoiseParams | None = None) -> RangeLimits:
+                 constants: PhysicalConstants = PhysicalConstants(),
+                 noise: NoiseParams = NoiseParams()) -> RangeLimits:
     """Distances beyond which the reference mode holds no entanglement.
 
     The stored state stays entangled for t/tau inside
@@ -394,15 +392,16 @@ def range_limits(platform: PlatformParams, space: ModeSpace,
     paper's closed form (N-1)/N * tau/2 * c * log(1/chi) on the total
     distance, log(1/chi) being the exponential window (``n_nodes=None``
     takes the many-node limit); it is not the model's own zero point, which
-    can lie further out.  Fixed-lifetime platforms use their own tau;
+    can lie further out.  Under exponential decay the held storage
+    (L+L0)/c keeps the model entangled up to (N-1)/N * c * tau * log(1/chi),
+    exactly twice this limit.  Fixed-lifetime platforms use their own tau;
     mode-dependent platforms use tau(K_ref).  At chi >= 1 (read-out noise
     can push chi_eff there) the window is 0 and so are both limits, even
     where tau is inf.
     """
     if n_nodes is not None:
         _check_count(n_nodes, "n_nodes", 2)
-    constants = constants or PhysicalConstants()
-    chi = (noise or NoiseParams()).effective_chi(platform)
+    chi = noise.effective_chi(platform)
     if platform.tau_us is not None:
         tau = platform.tau_us
         k_ref = None

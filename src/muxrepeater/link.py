@@ -36,19 +36,6 @@ def _check_probability(value, name: str) -> None:
         raise ValueError(f"{name} must lie in [0, 1]")
 
 
-def p_single(chi: float, eta_det: float, eta_half):
-    """Success probability of one heralded pair attempt in a single mode.
-
-    Both photons (one per memory) must be generated, survive half the link,
-    and fire the midway detector: (chi * eta_det * eta_half)**2, where
-    ``eta_half`` is the fiber transmission over L0/2 and may be an array.
-    """
-    for name, value in (("chi", chi), ("eta_det", eta_det),
-                        ("eta_half", eta_half)):
-        _check_probability(value, name)
-    return (chi * eta_det * eta_half) ** 2
-
-
 def p_eng(p1, pairings: int):
     """Probability that at least one of ``pairings`` mode pairings heralds.
 
@@ -125,8 +112,13 @@ class LinkBudget:
 
 def link_budget(platform: PlatformParams, l0_km,
                 constants: PhysicalConstants) -> LinkBudget:
-    """Evaluate the elementary-link budget for one platform (scalar or array l0)."""
+    """Evaluate the elementary-link budget for one platform (scalar or array l0).
+
+    p1 = (chi * eta_m * eta_half)**2: both photons (one per memory) are
+    generated, survive eta_half, the transmission over L0/2, and fire the
+    midway detector.
+    """
     eta_half = transmission(l0_km / 2.0, constants.alpha)
-    p1 = p_single(platform.chi, platform.eta_m, eta_half)
+    p1 = (platform.chi * platform.eta_m * eta_half) ** 2
     p_g = p_eng(p1, platform.pairings)
     return LinkBudget(p1=p1, p_g=p_g)

@@ -198,7 +198,7 @@ def _earlier_pass_rounds(rng, passes, p: float, racers: int) -> np.ndarray:
 
 def mc_chain_time(architecture: str, platform: PlatformParams, n_nodes: int,
                   l_km: float, constants: PhysicalConstants, space: ModeSpace,
-                  cfg: McConfig, noise: NoiseParams | None = None,
+                  cfg: McConfig, noise: NoiseParams = NoiseParams(),
                   waiting_count: str = "links") -> ChainMcResult:
     """Simulate full distributions and estimate T_tot and the ebit content.
 

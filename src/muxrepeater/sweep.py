@@ -37,7 +37,7 @@ _MARGIN = 1e-9
 
 def sweep(l_grid_km: Iterable[float], platforms: Sequence[PlatformParams],
           architectures: Sequence[str], constants: PhysicalConstants,
-          space: ModeSpace, noise: NoiseParams | None = None,
+          space: ModeSpace, noise: NoiseParams = NoiseParams(),
           n_max: int = 200, waiting_count: str = "links") -> list[ChainPlan]:
     """One optimized record per (L, platform, architecture) grid point.
 
@@ -68,7 +68,7 @@ def sweep(l_grid_km: Iterable[float], platforms: Sequence[PlatformParams],
 
 def _search(architecture: str, platform: PlatformParams, l_km: np.ndarray,
             n_max: int, constants: PhysicalConstants, space: ModeSpace,
-            noise: NoiseParams | None, waiting_count: str,
+            noise: NoiseParams, waiting_count: str,
             averages: dict) -> list[ChainPlan]:
     """First-maximum record over N = 2..n_max at each distance of a slice.
 

@@ -489,6 +489,25 @@ class TestChainTime:
         with pytest.raises(ValueError):
             chain_time("ahierarchical", wv, 5, 0.0, bundle.constants, space)
 
+    @pytest.mark.parametrize("n_nodes, l_km", [
+        (5, np.array([100.0, 900.0])), (np.array([5, 6]), 100.0),
+        (5, [100.0, 900.0]), ([5, 6], 100.0)],
+        ids=["distance-array", "node-array", "distance-list", "node-list"])
+    def test_rejects_grids(self, n_nodes, l_km):
+        bundle, space = bundle_and_space()
+        with pytest.raises(ValueError, match="use sweep for a grid"):
+            chain_time("ahierarchical", bundle.platform("WV-MUX-QM"), n_nodes,
+                       l_km, bundle.constants, space)
+
+    @pytest.mark.parametrize("arch", ["ahierarchical", "semihierarchical"])
+    def test_numpy_scalars_match_python_scalars(self, arch):
+        bundle, space = bundle_and_space()
+        wv = bundle.platform("WV-MUX-QM")
+        plan = chain_time(arch, wv, np.int64(5), np.float64(100.0),
+                          bundle.constants, space)
+        assert plan == chain_time(arch, wv, 5, 100.0, bundle.constants, space)
+        assert type(plan.n_nodes) is int and type(plan.l0_km) is float
+
     @pytest.mark.parametrize("n_nodes", [2.5, 5.0, np.float64(5.0)],
                              ids=["half", "float", "numpy-float"])
     def test_rejects_non_integer_node_count(self, n_nodes):

@@ -1,9 +1,11 @@
 import argparse
+import ast
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -387,6 +389,33 @@ class TestCommands:
         assert len(lines) == 1 + 2 + 2  # records plus SPDC rows
         assert sum(line.startswith("SPDC,direct") for line in lines) == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("source", [None, {"visibility": 0.9}],
+                             ids=["default", "visibility-0.9"])
+    def test_spdc_matches_rate_curve_baseline(self, tmp_path, capsys, fmt,
+                                              source):
+        options = ["--grid", "50:1000:7", "--format", fmt]
+        if source is not None:
+            cfg = tmp_path / "spdc.json"
+            cfg.write_text(json.dumps({"spdc": source}))
+            options += ["--config", str(cfg)]
+
+        def baseline(argv):
+            assert run(argv + options) == 0
+            out = capsys.readouterr().out
+            if fmt == "json":
+                # keep each number as printed
+                rows = json.loads(out, parse_float=str, parse_constant=str)
+            else:
+                rows = list(csv.DictReader(io.StringIO(out)))
+            return [(row["L_km"], row["T_per_ebit_s"]) for row in rows
+                    if row.get("platform", "SPDC") == "SPDC"]
+
+        direct = baseline(["spdc"])
+        assert len(direct) == 7
+        assert direct == baseline(["rate-curve", "--platforms", "WV-MUX-QM",
+                                   "--archs", "ahierarchical", "--n-max", "4"])
+
     def test_mc_validate_small_budget(self, capsys):
         assert run(["mc-validate", "--samples", "20000",
                     "--chain-samples", "2000", "--seed", "11"]) == 0
@@ -741,3 +770,19 @@ class TestReadmeOptions:
             for action in sub._actions for option in action.option_strings
             if not isinstance(action, argparse._HelpAction))
         assert documented == declared
+
+
+class TestPythonFloor:
+    def test_sources_parse_at_the_declared_floor(self):
+        # tomllib is 3.11+, so the floor is read with a regex
+        root = Path(__file__).resolve().parents[1]
+        pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+        major, minor = map(int, re.search(
+            r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', pyproject,
+            re.MULTILINE).groups())
+        files = sorted(path for folder in ("src", "tests", "tools")
+                       for path in (root / folder).rglob("*.py"))
+        assert len(files) > 15
+        for path in files:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                      feature_version=(major, minor))

@@ -9,11 +9,11 @@ from muxrepeater.link import (
     entangled_window,
     link_budget,
     p_eng,
-    p_single,
     transmission,
     visibility_at,
 )
-from muxrepeater.params import PhysicalConstants, builtin_platforms
+from muxrepeater.params import (PhysicalConstants, PlatformParams,
+                                builtin_platforms)
 from muxrepeater.werner import entanglement_of_formation
 
 # frozen from 30-digit evaluation of 1 - (1 - 1e-4)**10000
@@ -52,19 +52,23 @@ class TestTransmission:
 
 
 class TestPairProbability:
+    # p1 = (chi * eta_m * eta_t(L0/2))**2 with chi * eta_m = 0.01
+    PLATFORM = PlatformParams(name="hand", modes=1, chi=0.05, eta_r=0.7,
+                              eta_m=0.2, tau_ms=1.0)
+
+    def p1(self, l0_km):
+        return link_budget(self.PLATFORM, l0_km, PhysicalConstants()).p1
+
     def test_hand_value(self):
-        assert p_single(0.05, 0.2, 1.0) == pytest.approx(1e-4, rel=1e-12)
+        assert self.p1(0.0) == pytest.approx(1e-4, rel=1e-12)
 
     def test_total_loss(self):
-        assert p_single(0.05, 0.2, 0.0) == 0.0
+        # the transmission over 20,000 km underflows to exactly 0
+        assert self.p1(40_000.0) == 0.0
 
     def test_at_150_km(self):
-        eta_t = transmission(75.0, 0.2)
-        assert p_single(0.05, 0.2, eta_t) == pytest.approx(1e-7, rel=1e-9)
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            p_single(1.5, 0.2, 0.5)
+        # L0 = 150 km: 75 km of fiber per photon, eta_t = 10**-1.5
+        assert self.p1(150.0) == pytest.approx(1e-7, rel=1e-9)
 
 
 class TestHeraldingProbability:

@@ -209,6 +209,23 @@ class TestChainTime:
                           self.space, McConfig(samples=10))
 
     @pytest.mark.parametrize("arch", ["ahierarchical", "semihierarchical"])
+    @pytest.mark.parametrize("n_nodes, l_km", [
+        (5, np.array([100.0, 900.0])), (np.array([5, 6]), 100.0)],
+        ids=["distance-array", "node-array"])
+    def test_rejects_grids(self, arch, n_nodes, l_km):
+        wv = self.bundle.platform("WV-MUX-QM")
+        with pytest.raises(ValueError, match="use sweep for a grid"):
+            mc_chain_time(arch, wv, n_nodes, l_km, self.bundle.constants,
+                          self.space, McConfig(samples=10))
+
+    def test_numpy_scalars_match_python_scalars(self):
+        wv, cfg = self.bundle.platform("WV-MUX-QM"), McConfig(samples=1000)
+        args = (self.bundle.constants, self.space, cfg)
+        assert mc_chain_time("semihierarchical", wv, np.int64(5),
+                             np.float64(550.0), *args) == \
+            mc_chain_time("semihierarchical", wv, 5, 550.0, *args)
+
+    @pytest.mark.parametrize("arch", ["ahierarchical", "semihierarchical"])
     def test_rejects_non_integer_node_count(self, arch):
         wv = self.bundle.platform("WV-MUX-QM")
         with pytest.raises(ValueError, match="node counts must be integers"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import time
@@ -410,3 +411,33 @@ class TestNodeCountBound:
         full = 10 * len(BUNDLE.platforms) * len(ARCHS) * 199
         assert full == 15920
         assert sum(rows * n for rows, n in shapes) <= 0.10 * full
+
+
+class TestMetamorphicRelations:
+    """Q* of a one-distance sweep moves the right way with each input."""
+
+    @staticmethod
+    def q_star(platform, l_km, constants=BUNDLE.constants, **noise):
+        return np.array([r.q_ebit_per_s_per_node for r in sweep(
+            [l_km], [platform], ARCHS, constants, ModeSpace.default(),
+            **noise)])
+
+    @given(platforms(), st.floats(10.0, 3000.0), st.floats(1e-3, 1.0),
+           st.integers(1, 10 ** 4), st.floats(1e-3, 0.999),
+           st.floats(1e-6, 0.05))
+    @settings(max_examples=40, deadline=None)
+    def test_q_star_is_monotone_in_link_and_noise_inputs(
+            self, platform, l_km, gain, extra_modes, alpha_factor, b):
+        base = self.q_star(platform, l_km)
+        eta_m = platform.eta_m + gain * (1.0 - platform.eta_m)
+        not_lower = [
+            self.q_star(dataclasses.replace(platform, eta_m=eta_m), l_km),
+            self.q_star(dataclasses.replace(
+                platform, modes=platform.modes + extra_modes), l_km),
+            self.q_star(platform, l_km, dataclasses.replace(
+                BUNDLE.constants, alpha=BUNDLE.constants.alpha * alpha_factor))]
+        for q in not_lower:
+            assert np.all(q >= base * (1.0 - 1e-12)), (q, base)
+        # read-out noise B > 0 against the NoiseParams() default
+        noisy = self.q_star(platform, l_km, noise=NoiseParams(B=b))
+        assert np.all(noisy <= base * (1.0 + 1e-12)), (noisy, base)
