@@ -90,10 +90,6 @@ def _comma_list(parse, ok, expected: str):
         lambda items: bool(items) and all(map(ok, items)), expected)
 
 
-def _record_row(record: chain.ChainPlan) -> tuple:
-    return tuple(getattr(record, field) for _, field in _RECORD_COLUMNS)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity set where the OS has one)."""
     try:
@@ -144,23 +140,28 @@ def _cmd_ef_curve(args, bundle, space):
     return ("L0_km", "t_us", "series", "E_F"), rows
 
 
+def _spdc_rows(grid, bundle):
+    """Midway-source baseline rows per distance, keyed by record column."""
+    ef = float(entanglement_of_formation(bundle.spdc.visibility))
+    # a detected pair carries ef ebit: its time is the per-ebit time at V = 1
+    per_pair = replace(bundle.spdc, visibility=1.0)
+    for l_km in grid:
+        t_s = chain.spdc_time(l_km, bundle.spdc, bundle.constants) * 1e-6
+        t_pair_s = chain.spdc_time(l_km, per_pair, bundle.constants) * 1e-6
+        yield {"platform": "SPDC", "architecture": "direct", "L_km": l_km,
+               "mean_EF": ef, "T_tot_s": t_pair_s, "R_ebit_per_s": 1.0 / t_s,
+               "T_per_ebit_s": t_s}
+
+
 def _cmd_rate_curve(args, bundle, space):
     platforms = [bundle.platform(name) for name in args.platforms]
     records = sweep_grid(args.grid, platforms, args.archs, bundle.constants,
                          space, bundle.noise, args.n_max, args.waiting_count)
-    rows = [_record_row(r) for r in records]
+    rows = [tuple(getattr(record, field) for _, field in _RECORD_COLUMNS)
+            for record in records]
     if not args.no_spdc:
-        # each detected pair carries E_F(visibility) ebit
-        ef = float(entanglement_of_formation(bundle.spdc.visibility))
-        per_pair = replace(bundle.spdc, visibility=1.0)
-        for l_km in args.grid:
-            t_s = chain.spdc_time(l_km, bundle.spdc, bundle.constants) * 1e-6
-            rate = 1.0 / t_s
-            t_pair_s = chain.spdc_time(l_km, per_pair, bundle.constants) * 1e-6
-            spdc = {"platform": "SPDC", "architecture": "direct",
-                    "L_km": l_km, "mean_EF": ef, "T_tot_s": t_pair_s,
-                    "R_ebit_per_s": rate, "T_per_ebit_s": t_s}
-            rows.append(tuple(spdc.get(column) for column in _RECORD_HEADER))
+        rows += [tuple(spdc.get(column) for column in _RECORD_HEADER)
+                 for spdc in _spdc_rows(args.grid, bundle)]
     return _RECORD_HEADER, rows
 
 
@@ -178,11 +179,10 @@ def _cmd_limits(args, bundle, space):
 
 
 def _cmd_spdc(args, bundle, space):
-    rows = []
-    for l_km in args.grid:
-        t_s = chain.spdc_time(l_km, bundle.spdc, bundle.constants) * 1e-6
-        rows.append((l_km, t_s))
-    return ("L_km", "T_per_ebit_s"), rows
+    header = ("L_km", "T_per_ebit_s")
+    rows = [tuple(spdc[column] for column in header)
+            for spdc in _spdc_rows(args.grid, bundle)]
+    return header, rows
 
 
 def _cmd_mc_validate(args, bundle, space):

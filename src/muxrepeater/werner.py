@@ -54,14 +54,6 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def concurrence(visibility):
-    """Concurrence max(0, (3V-1)/2) of a white-noise Bell mixture."""
-    v = np.asarray(visibility, dtype=float)
-    link._check_probability(v, "visibility")
-    c = np.maximum(0.0, (3.0 * v - 1.0) / 2.0)
-    return float(c) if c.ndim == 0 else c
-
-
 def entanglement_of_formation(visibility):
     """Ebit content per copy as a function of visibility.
 
@@ -70,7 +62,9 @@ def entanglement_of_formation(visibility):
     rather than (1 - sqrt(1-C^2))/2, which keeps tiny concurrences from
     rounding to zero ebits.
     """
-    c = np.asarray(concurrence(visibility), dtype=float)
+    v = np.asarray(visibility, dtype=float)
+    link._check_probability(v, "visibility")
+    c = np.maximum(0.0, (3.0 * v - 1.0) / 2.0)
     y = c * c / (2.0 * (1.0 + np.sqrt((1.0 - c) * (1.0 + c))))
     ef = np.zeros_like(c)
     pos = y > 0.0  # excludes concurrences whose square underflows

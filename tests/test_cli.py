@@ -390,11 +390,14 @@ class TestCommands:
         assert sum(line.startswith("SPDC,direct") for line in lines) == 2
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("source", [None, {"visibility": 0.9}],
-                             ids=["default", "visibility-0.9"])
+    @pytest.mark.parametrize("grid,source", [
+        ("50:1000:7", None), ("50:1000:7", {"visibility": 0.9}),
+        ("14000:17000:7", None), ("50:1000:7", {"visibility": 0.3})],
+        ids=["default", "visibility-0.9", "pair-time-overflow",
+             "visibility-0.3"])
     def test_spdc_matches_rate_curve_baseline(self, tmp_path, capsys, fmt,
-                                              source):
-        options = ["--grid", "50:1000:7", "--format", fmt]
+                                              grid, source):
+        options = ["--grid", grid, "--format", fmt]
         if source is not None:
             cfg = tmp_path / "spdc.json"
             cfg.write_text(json.dumps({"spdc": source}))
@@ -408,13 +411,35 @@ class TestCommands:
                 rows = json.loads(out, parse_float=str, parse_constant=str)
             else:
                 rows = list(csv.DictReader(io.StringIO(out)))
-            return [(row["L_km"], row["T_per_ebit_s"]) for row in rows
+            return [row for row in rows
                     if row.get("platform", "SPDC") == "SPDC"]
 
         direct = baseline(["spdc"])
+        spdc = baseline(["rate-curve", "--platforms", "WV-MUX-QM",
+                         "--archs", "ahierarchical", "--n-max", "4"])
         assert len(direct) == 7
-        assert direct == baseline(["rate-curve", "--platforms", "WV-MUX-QM",
-                                   "--archs", "ahierarchical", "--n-max", "4"])
+        assert [(row["L_km"], row["T_per_ebit_s"]) for row in direct] == \
+            [(row["L_km"], row["T_per_ebit_s"]) for row in spdc]
+        # json prints a non-finite number as null
+        inf = "inf" if fmt == "csv" else None
+        for row in spdc:
+            l_km = float(row["L_km"])
+            if grid.startswith("14000"):
+                # past 15,500 km the pair time overflows the us scale
+                overflow = l_km >= 15_500.0
+                assert (row["T_per_ebit_s"] == inf) == overflow
+                assert (row["T_tot_s"] == inf) == overflow
+                assert (float(row["R_ebit_per_s"]) == 0.0) == overflow
+                if l_km == 15_000.0:
+                    assert row["T_per_ebit_s"] == (
+                        "1.54320987654321e+294" if fmt == "csv"
+                        else "1.5432098765432096e+294")
+            elif source == {"visibility": 0.3}:
+                # a separable source delivers no ebit, but pairs still arrive
+                assert float(row["mean_EF"]) == 0.0
+                assert row["T_per_ebit_s"] == inf
+                assert float(row["R_ebit_per_s"]) == 0.0
+                assert math.isfinite(float(row["T_tot_s"]))
 
     def test_mc_validate_small_budget(self, capsys):
         assert run(["mc-validate", "--samples", "20000",
@@ -786,3 +811,20 @@ class TestPythonFloor:
         for path in files:
             ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                       feature_version=(major, minor))
+
+
+class TestRegressionList:
+    def test_every_invocation_parses(self):
+        # the list is otherwise run only by the CI workflow, so a mistyped
+        # entry would go unnoticed locally
+        script = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.sh"
+        heredoc = script.read_text(encoding="utf-8").split("<<'EOF'\n")[1]
+        invocations = heredoc.split("\nEOF\n")[0].splitlines()
+        assert len(invocations) == 29
+        parser = build_parser()
+        for invocation in invocations:
+            for fmt in ("csv", "json"):
+                try:
+                    parser.parse_args([*invocation.split(), "--format", fmt])
+                except SystemExit:
+                    pytest.fail(f"cannot parse {invocation!r} --format {fmt}")

@@ -414,13 +414,14 @@ class TestNodeCountBound:
 
 
 class TestMetamorphicRelations:
-    """Q* of a one-distance sweep moves the right way with each input."""
+    """Q* of a one-distance sweep, and N* along a grid, move the right way
+    with each input."""
 
     @staticmethod
-    def q_star(platform, l_km, constants=BUNDLE.constants, **noise):
+    def q_star(platform, l_km, constants=BUNDLE.constants,
+               space=ModeSpace.default(), **options):
         return np.array([r.q_ebit_per_s_per_node for r in sweep(
-            [l_km], [platform], ARCHS, constants, ModeSpace.default(),
-            **noise)])
+            [l_km], [platform], ARCHS, constants, space, **options)])
 
     @given(platforms(), st.floats(10.0, 3000.0), st.floats(1e-3, 1.0),
            st.integers(1, 10 ** 4), st.floats(1e-3, 0.999),
@@ -441,3 +442,47 @@ class TestMetamorphicRelations:
         # read-out noise B > 0 against the NoiseParams() default
         noisy = self.q_star(platform, l_km, noise=NoiseParams(B=b))
         assert np.all(noisy <= base * (1.0 + 1e-12)), (noisy, base)
+
+    @pytest.mark.parametrize("count", ["links", "nodes"])
+    @given(platforms(), st.floats(10.0, 3000.0), st.floats(0.01, 1.0),
+           st.floats(1e-3, 1.0), st.floats(1.0, 100.0), st.floats(0.0, 0.05))
+    @settings(max_examples=60, deadline=None)
+    def test_q_star_does_not_fall_as_the_chain_improves(
+            self, count, platform, l_km, shrink, gain, growth, b):
+        def toward(value, limit):
+            return value + gain * (limit - value)
+
+        # a longer fixed lifetime, or gamma for mode-dependent lifetimes
+        constants, space = BUNDLE.constants, ModeSpace.default()
+        longer, longer_space = platform, space
+        if platform.tau_ms is None:
+            longer_space = dataclasses.replace(space, gamma=space.gamma * growth)
+        else:
+            longer = dataclasses.replace(platform,
+                                         tau_ms=platform.tau_ms * growth)
+        for noise in (NoiseParams(), NoiseParams(B=b)):
+            options = {"noise": noise, "waiting_count": count}
+            base = self.q_star(platform, l_km, **options)
+            not_lower = [
+                self.q_star(platform, l_km * shrink, **options),
+                *(self.q_star(dataclasses.replace(
+                    platform, **{eta: toward(getattr(platform, eta), 1.0)}),
+                    l_km, **options) for eta in ("eta_r", "eta_x", "eta_s")),
+                self.q_star(longer, l_km, constants, longer_space, **options),
+                self.q_star(platform, l_km, dataclasses.replace(
+                    constants, c=toward(constants.c, 0.3)), **options)]
+            for q in not_lower:
+                assert np.all(q >= base * (1.0 - 1e-12)), (q, base)
+
+    @pytest.mark.parametrize("count", ["links", "nodes"])
+    @given(platforms())
+    @settings(max_examples=20, deadline=None)
+    def test_n_star_does_not_fall_as_the_distance_grows(self, count,
+                                                        platform):
+        grid = np.linspace(10.0, 3000.0, 60)
+        records = sweep(grid, [platform], ARCHS, BUNDLE.constants,
+                        ModeSpace.default(), n_max=400, waiting_count=count)
+        for arch in ARCHS:
+            n_star = [r.n_nodes for r in records
+                      if r.architecture == arch and r.q_ebit_per_s_per_node > 0]
+            assert n_star == sorted(n_star), (arch, n_star)

@@ -9,7 +9,6 @@ from muxrepeater.link import visibility_at
 from muxrepeater.modes import ModeSpace
 from muxrepeater.werner import (
     average_ef,
-    concurrence,
     ef_of_mode,
     entanglement_of_formation,
 )
@@ -43,31 +42,6 @@ def ef_naive_oracle(v: float) -> float:
     if x in (0.0, 1.0):
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
-class TestConcurrence:
-    def test_pure_bell(self):
-        assert concurrence(1.0) == 1.0
-
-    def test_threshold(self):
-        assert concurrence(1.0 / 3.0) == 0.0
-        assert concurrence(0.2) == 0.0
-
-    def test_hand_value(self):
-        assert concurrence(0.909091) == pytest.approx(0.8636365, rel=1e-12)
-
-    def test_domain_check(self):
-        with pytest.raises(ValueError):
-            concurrence(1.2)
-        with pytest.raises(ValueError):
-            concurrence(-0.1)
-        with pytest.raises(ValueError, match=r"visibility must lie in \[0, 1\]"):
-            concurrence(math.nan)
-
-    def test_matches_eigen_oracle(self):
-        for v in np.linspace(0.0, 1.0, 201):
-            assert concurrence(float(v)) == \
-                pytest.approx(concurrence_eigen_oracle(float(v)), abs=1e-10)
 
 
 class TestEntanglementOfFormation:
@@ -106,14 +80,14 @@ class TestEntanglementOfFormation:
     @given(st.floats(0.0, 1.0))
     def test_bounded_chain(self, v):
         ef = entanglement_of_formation(v)
-        c = concurrence(v)
+        c = concurrence_eigen_oracle(v)
         assert 0.0 <= ef <= c + 1e-15
         assert c <= v + 1e-15
 
     def test_bounded_chain_on_grid(self):
         v = np.linspace(0.0, 1.0, 1000)
         ef = entanglement_of_formation(v)
-        c = concurrence(v)
+        c = np.array([concurrence_eigen_oracle(float(x)) for x in v])
         assert np.all(ef >= 0.0)
         assert np.all(ef <= c + 1e-15)
         assert np.all(c <= v + 1e-15)

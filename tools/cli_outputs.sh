@@ -13,6 +13,8 @@
 # 21-25 run the list, node-count and seed options in a fresh process.
 # Entry 26 searches up to N = 10**8, whose bytes equal those of
 # --n-max 2000, and entry 27 walks the held Temporal chain out to N* = 300.
+# Entries 28 and 29 run the midway-source baseline past 15,500 km, where its
+# time per pair overflows the microsecond scale and prints inf.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -62,4 +64,6 @@ limits --n-nodes Infinity --k-ref 100
 mc-validate --samples 200000 --seed 42 --chain-samples 0
 optimize --grid 100:200:2 --n-max 100000000
 optimize --platform Temporal --arch semihierarchical --grid 148:152:9 --n-max 2000
+spdc --grid 15000:17000:5
+rate-curve --grid 10000:20000:3 --platforms Lattice-SM
 EOF
