@@ -426,7 +426,10 @@ def spdc_time(l_km: float, spdc, constants: PhysicalConstants) -> float:
     The source sits halfway, so each photon of a pair crosses L/2 and the
     pair transmission is 10**(-alpha*L/10).  The detected-pair rate is
     chi * eta_s**2 * f_rep * that transmission; the returned time is its
-    reciprocal divided by the ebit content of the source state.
+    reciprocal divided by the ebit content of the source state.  Formed in
+    us, the time overflows to inf while the rate is still non-zero (default
+    source: from about 15,404 km, rate 0 only from 16,181 km), though in
+    seconds it would be finite; ROADMAP.md item 5 would keep its digits.
     """
     if not l_km >= 0:
         raise ValueError("distance must be non-negative")

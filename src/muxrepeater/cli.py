@@ -43,30 +43,18 @@ _MC_GRID_NODES = (2, 5, 10, 50)
 _MC_GRID_PROBS = (0.01, 0.1, 0.5, 0.9)
 
 
-def _parse_grid(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) not in (3, 4):
-        raise argparse.ArgumentTypeError(
-            "grid must be start:stop:points[:linear|log]")
-    try:
-        start, stop = float(parts[0]), float(parts[1])
-        points = int(parts[2])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad grid value: {exc}") from exc
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise argparse.ArgumentTypeError("grid bounds must be finite")
-    scale = parts[3] if len(parts) == 4 else "linear"
-    if scale not in ("linear", "log"):
-        raise argparse.ArgumentTypeError("grid scale must be linear or log")
-    if points < 2:
-        raise argparse.ArgumentTypeError("grid needs at least 2 points")
-    if not 0 <= start < stop:
-        raise argparse.ArgumentTypeError("grid needs 0 <= start < stop")
-    if scale == "log":
-        if start <= 0:
-            raise argparse.ArgumentTypeError("log grid needs start > 0")
-        return [float(x) for x in np.geomspace(start, stop, points)]
-    return [float(x) for x in np.linspace(start, stop, points)]
+def _grid_points(text: str) -> list[float]:
+    """Points of ``start:stop:points[:linear|log]``; ValueError if malformed.
+
+    The range is checked before numpy can overflow a step; numpy rejects a
+    negative count and a log grid from 0.
+    """
+    start, stop, points, *scale = text.split(":")
+    start, stop, points = float(start), float(stop), int(points)
+    if scale not in ([], ["linear"], ["log"]) or not 0 <= start < stop < math.inf:
+        raise ValueError(text)
+    space = np.geomspace if scale == ["log"] else np.linspace
+    return [float(x) for x in space(start, stop, points)]
 
 
 def _bounded(parse, ok, expected: str):
@@ -239,14 +227,18 @@ def build_parser() -> argparse.ArgumentParser:
                          default="links")
     sweep_options = argparse.ArgumentParser(add_help=False)
     sweep_options.add_argument(
-        "--grid", type=_bounded(_parse_grid, lambda grid: grid[0] > 0,
-                                "a total-distance grid with start > 0"),
-        default="100:1000:10", metavar="L_START:STOP:POINTS[:SCALE]")
+        "--grid", default="100:1000:10", metavar="L_START:STOP:POINTS[:SCALE]",
+        type=_bounded(_grid_points, lambda g: len(g) >= 2 and g[0] > 0,
+                      "start:stop:points[:linear|log] with at least 2 points "
+                      "and finite 0 < start < stop"))
     sweep_options.add_argument(
         "--n-max", type=_bounded(int, lambda n: n >= 2, "an integer >= 2"),
         default=200)
     sweep = [sweep_options, waiting]   # rate-curve and optimize
     names = _comma_list(str.strip, bool, "a comma-separated list of names")
+    grid = _bounded(_grid_points, lambda g: len(g) >= 2,
+                    "start:stop:points[:linear|log] with at least 2 points and "
+                    "finite 0 <= start < stop (start > 0 on a log grid)")
 
     def command(name, func, help, parents=()):
         sub = subparsers.add_parser(name, parents=[io, *parents], help=help)
@@ -257,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = command("pg-curve", _cmd_pg_curve,
                   "link heralding probability versus elementary distance")
-    sub.add_argument("--grid", type=_parse_grid, default="10:250:100",
+    sub.add_argument("--grid", type=grid, default="10:250:100",
                      metavar="L0_START:STOP:POINTS[:SCALE]")
     sub.add_argument("--platforms", type=names,
                      default=["WV-MUX-QM", "WV-parallel", "Temporal"])
 
     sub = command("ef-curve", _cmd_ef_curve,
                   "per-mode and mode-averaged ebit content versus distance")
-    sub.add_argument("--grid", type=_parse_grid, default="10:400:100",
+    sub.add_argument("--grid", type=grid, default="10:400:100",
                      metavar="L0_START:STOP:POINTS[:SCALE]")
     sub.add_argument("--modes", default=[10.0, 100.0, 1000.0],
                      type=_comma_list(float, lambda k: 0 < k < math.inf,
@@ -309,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="node count for the held-architecture bound ('inf' default)")
 
     sub = command("spdc", _cmd_spdc, "per-ebit time of the midway-source baseline")
-    sub.add_argument("--grid", type=_parse_grid, default="100:1000:10",
+    sub.add_argument("--grid", type=grid, default="100:1000:10",
                      metavar="L_START:STOP:POINTS[:SCALE]")
 
     sub = command("mc-validate", _cmd_mc_validate,

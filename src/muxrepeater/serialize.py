@@ -3,7 +3,9 @@
 Identical inputs must produce byte-identical output files, so floats are
 formatted explicitly: scientific notation with 15 significant digits in CSV
 and 17 (full round-trip precision) in JSON.  Non-finite values serialize as
-"inf"/"nan" strings in CSV and null in JSON.
+"inf"/"nan" strings in CSV and null in JSON.  A column that a row lacks
+(None) is an empty CSV cell but also null in JSON, so only CSV tells it from
+a non-finite value.
 """
 
 from __future__ import annotations

@@ -619,6 +619,25 @@ class TestRangeLimits:
         assert limits.l_max_semihier_km == pytest.approx(tau / 2 * c * log_gain,
                                                          rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["Temporal", "Lattice-SM"])
+    @pytest.mark.parametrize("n_nodes", [3, 5])
+    def test_held_reach_is_twice_the_printed_limit(self, name, n_nodes):
+        # exponential decay: the held storage (L+L0)/c = L/c * N/(N-1) leaves
+        # the window at R = (N-1)/N * c * tau * ln(1/chi_eff).  Checked on
+        # mean_EF, not Q: Lattice-SM's Q is already 0 near R.
+        bundle, space = bundle_and_space()
+        platform = bundle.platform(name)
+        c, tau = bundle.constants.c, platform.tau_us
+        chi = NoiseParams().effective_chi(platform)
+        reach = (n_nodes - 1) / n_nodes * c * tau * math.log(1 / chi)
+        limits = range_limits(platform, space, 10.0, n_nodes, bundle.constants)
+        assert reach == pytest.approx(2 * limits.l_max_semihier_km, rel=1e-15)
+        ef = [chain_time("semihierarchical", platform, n_nodes, scale * reach,
+                         bundle.constants, space).mean_ef
+              for scale in (0.999, 1.001)]
+        assert ef[0] > 0
+        assert ef[1] == 0
+
     @pytest.mark.parametrize("n_nodes", [0, 1, -3])
     def test_rejects_chains_below_two_nodes(self, n_nodes):
         bundle, space = bundle_and_space()

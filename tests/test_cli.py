@@ -58,22 +58,46 @@ class TestCommands:
         capsys.readouterr()
 
     def test_bad_grid_exits_2(self, capsys):
-        for argv in (["pg-curve", "--grid", "100:10:5"],
-                     ["rate-curve", "--grid", "0:1000:3"],
-                     ["optimize", "--grid", "0:500:2"],
-                     ["rate-curve", "--grid", "100:inf:3"],
-                     ["pg-curve", "--grid=-10:10:3"],
-                     ["ef-curve", "--grid=-10:10:3"],
-                     ["spdc", "--grid=-5:10:3"],
-                     ["pg-curve", "--grid", "10:250"],
-                     ["pg-curve", "--grid", "10:250:5:log:x"],
-                     ["pg-curve", "--grid", "10:x:5"],
-                     ["pg-curve", "--grid", "10:250:5.5"],
-                     ["pg-curve", "--grid", "10:250:5:cubic"],
-                     ["pg-curve", "--grid", "10:250:1"],
-                     ["pg-curve", "--grid", "0:250:5:log"]):
-            assert run(argv) == 2, argv
-        capsys.readouterr()
+        # the usage error echoes the text and names the whole rule of the
+        # declaration: total-distance grids must start above 0
+        for command, text in (
+                ("pg-curve", "100:10:5"), ("rate-curve", "0:1000:3"),
+                ("optimize", "0:500:2"), ("rate-curve", "100:inf:3"),
+                ("pg-curve", "-10:10:3"), ("ef-curve", "-10:10:3"),
+                ("spdc", "-5:10:3"), ("pg-curve", "10:250"),
+                ("pg-curve", "10:250:5:log:x"), ("pg-curve", "10:x:5"),
+                ("pg-curve", "10:250:5.5"), ("pg-curve", "10:250:5:cubic"),
+                ("pg-curve", "10:250:1"), ("pg-curve", "0:250:5:log"),
+                ("pg-curve", "-1e308:1e308:3"), ("pg-curve", "nan:1:3"),
+                ("pg-curve", "1e400:1e401:3"), ("pg-curve", "10:10:3"),
+                ("pg-curve", "10:250:0"), ("pg-curve", "10:250:-3"),
+                ("pg-curve", "10:250:5:"), ("pg-curve", ""),
+                ("rate-curve", "-1e308:1e308:3"), ("optimize", "nan:1:3"),
+                ("spdc", "1e400:1e401:3"), ("ef-curve", "10:250:-3")):
+            assert run([command, f"--grid={text}"]) == 2, (command, text)
+            out, err = capsys.readouterr()
+            rule = ("finite 0 < start < stop"
+                    if command in ("rate-curve", "optimize") else
+                    "finite 0 <= start < stop (start > 0 on a log grid)")
+            assert out == ""
+            assert f"got {text!r}" in err
+            assert f"at least 2 points and {rule}" in err
+
+    @pytest.mark.parametrize("command, text, code", [
+        ("pg-curve", "0:5e-324:2", 0),
+        ("pg-curve", "1e-320:1e-300:3:log", 0),
+        ("pg-curve", "-0:10:3", 0),
+        ("spdc", "-0:10:3", 0),
+        ("rate-curve", "-0:10:3", 2),
+        ("rate-curve", "0:1000:3", 2)])
+    def test_edge_grids_follow_the_declared_rule(self, command, text, code,
+                                                 capsys):
+        assert run([command, f"--grid={text}"]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out and err == ""
+        else:
+            assert out == "" and f"got {text!r}" in err
 
     @pytest.mark.parametrize("argv", [
         ["mc-validate", "--samples", "10", "--chain-samples", "0",
@@ -828,3 +852,11 @@ class TestRegressionList:
                     parser.parse_args([*invocation.split(), "--format", fmt])
                 except SystemExit:
                     pytest.fail(f"cannot parse {invocation!r} --format {fmt}")
+
+    def test_help_list_names_every_subcommand(self):
+        script = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.sh"
+        [names] = re.findall(r"^for name in (.*); do$",
+                             script.read_text(encoding="utf-8"), re.MULTILINE)
+        [commands] = [action.choices for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        assert names.split() == ["muxrepeater", *commands]

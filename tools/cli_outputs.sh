@@ -15,6 +15,11 @@
 # --n-max 2000, and entry 27 walks the held Temporal chain out to N* = 300.
 # Entries 28 and 29 run the midway-source baseline past 15,500 km, where its
 # time per pair overflows the microsecond scale and prints inf.
+#
+# It then runs `--help` of the top-level parser and of every subcommand once,
+# with COLUMNS=80 so the wrapping does not follow the terminal, and writes
+# help-NAME.out, help-NAME.err and help-NAME.rc (NAME is the subcommand, or
+# muxrepeater for the top level).
 set -u
 
 if [ $# -ne 1 ]; then
@@ -67,3 +72,12 @@ optimize --platform Temporal --arch semihierarchical --grid 148:152:9 --n-max 20
 spdc --grid 15000:17000:5
 rate-curve --grid 10000:20000:3 --platforms Lattice-SM
 EOF
+
+for name in muxrepeater presets pg-curve ef-curve rate-curve optimize limits spdc mc-validate; do
+    # the top level takes no subcommand, so its $command is empty
+    command=${name#muxrepeater}
+    # shellcheck disable=SC2086
+    COLUMNS=80 PYTHONPATH=src python -W error::RuntimeWarning -m muxrepeater \
+        $command --help < /dev/null > "$out/help-$name.out" 2> "$out/help-$name.err"
+    echo $? > "$out/help-$name.rc"
+done
