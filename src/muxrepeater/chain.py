@@ -421,21 +421,18 @@ def range_limits(platform: PlatformParams, space: ModeSpace,
 
 
 def spdc_time(l_km: float, spdc, constants: PhysicalConstants) -> float:
-    """Mean time per detected ebit from a midway pair source, in us.
+    """Mean time between detected pairs from a midway pair source, in us.
 
     The source sits halfway, so each photon of a pair crosses L/2 and the
-    pair transmission is 10**(-alpha*L/10).  The detected-pair rate is
-    chi * eta_s**2 * f_rep * that transmission; the returned time is its
-    reciprocal divided by the ebit content of the source state.  Formed in
-    us, the time overflows to inf while the rate is still non-zero (default
-    source: from about 15,404 km, rate 0 only from 16,181 km), though in
-    seconds it would be finite; ROADMAP.md item 5 would keep its digits.
+    pair transmission is 10**(-alpha*L/10).  The time is the reciprocal of
+    the detected-pair rate chi * eta_s**2 * f_rep * transmission (inf at
+    rate 0); the visibility does not enter.  Formed in us, it overflows to
+    inf while the rate is non-zero (default source: from about 15,404 km,
+    rate 0 only from 16,181 km), though in seconds it would be finite;
+    ROADMAP.md item 5 would keep its digits.
     """
     if not l_km >= 0:
         raise ValueError("distance must be non-negative")
     pair_transmission = link_physics.transmission(l_km, constants.alpha)
     rate = spdc.chi * spdc.eta_s ** 2 * spdc.f_rep * pair_transmission
-    ef = float(werner.entanglement_of_formation(spdc.visibility))
-    if ef <= 0.0 or rate <= 0.0:
-        return math.inf
-    return 1.0 / rate / ef
+    return 1.0 / rate if rate > 0.0 else math.inf

@@ -15,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,15 +45,19 @@ _MC_GRID_PROBS = (0.01, 0.1, 0.5, 0.9)
 def _grid_points(text: str) -> list[float]:
     """Points of ``start:stop:points[:linear|log]``; ValueError if malformed.
 
-    The range is checked before numpy can overflow a step; numpy rejects a
-    negative count and a log grid from 0.
+    The range is checked before numpy runs and every point after it; numpy
+    rejects a negative count and a log grid from 0.
     """
     start, stop, points, *scale = text.split(":")
     start, stop, points = float(start), float(stop), int(points)
     if scale not in ([], ["linear"], ["log"]) or not 0 <= start < stop < math.inf:
         raise ValueError(text)
     space = np.geomspace if scale == ["log"] else np.linspace
-    return [float(x) for x in space(start, stop, points)]
+    with np.errstate(over="ignore"):
+        values = [float(x) for x in space(start, stop, points)]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(text)
+    return values
 
 
 def _bounded(parse, ok, expected: str):
@@ -129,16 +132,14 @@ def _cmd_ef_curve(args, bundle, space):
 
 
 def _spdc_rows(grid, bundle):
-    """Midway-source baseline rows per distance, keyed by record column."""
+    """Midway-source baseline rows by record column; a pair carries ef ebit."""
     ef = float(entanglement_of_formation(bundle.spdc.visibility))
-    # a detected pair carries ef ebit: its time is the per-ebit time at V = 1
-    per_pair = replace(bundle.spdc, visibility=1.0)
     for l_km in grid:
-        t_s = chain.spdc_time(l_km, bundle.spdc, bundle.constants) * 1e-6
-        t_pair_s = chain.spdc_time(l_km, per_pair, bundle.constants) * 1e-6
+        t_pair_us = chain.spdc_time(l_km, bundle.spdc, bundle.constants)
+        t_s = (t_pair_us / ef if ef > 0.0 else math.inf) * 1e-6
         yield {"platform": "SPDC", "architecture": "direct", "L_km": l_km,
-               "mean_EF": ef, "T_tot_s": t_pair_s, "R_ebit_per_s": 1.0 / t_s,
-               "T_per_ebit_s": t_s}
+               "mean_EF": ef, "T_tot_s": t_pair_us * 1e-6,
+               "R_ebit_per_s": 1.0 / t_s, "T_per_ebit_s": t_s}
 
 
 def _cmd_rate_curve(args, bundle, space):
@@ -229,16 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_options.add_argument(
         "--grid", default="100:1000:10", metavar="L_START:STOP:POINTS[:SCALE]",
         type=_bounded(_grid_points, lambda g: len(g) >= 2 and g[0] > 0,
-                      "start:stop:points[:linear|log] with at least 2 points "
-                      "and finite 0 < start < stop"))
+                      "start:stop:points[:linear|log] with at least 2 points, "
+                      "all finite, and 0 < start < stop"))
     sweep_options.add_argument(
         "--n-max", type=_bounded(int, lambda n: n >= 2, "an integer >= 2"),
         default=200)
     sweep = [sweep_options, waiting]   # rate-curve and optimize
     names = _comma_list(str.strip, bool, "a comma-separated list of names")
     grid = _bounded(_grid_points, lambda g: len(g) >= 2,
-                    "start:stop:points[:linear|log] with at least 2 points and "
-                    "finite 0 <= start < stop (start > 0 on a log grid)")
+                    "start:stop:points[:linear|log] with at least 2 points, "
+                    "all finite, and 0 <= start < stop (start > 0 on a log "
+                    "grid)")
 
     def command(name, func, help, parents=()):
         sub = subparsers.add_parser(name, parents=[io, *parents], help=help)

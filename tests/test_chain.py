@@ -700,8 +700,9 @@ class TestSpdcBaseline:
         with pytest.raises(ValueError, match="distance must be non-negative"):
             spdc_time(l_km, SpdcParams(), PhysicalConstants())
 
-    def test_imperfect_visibility_costs_time(self):
+    def test_visibility_does_not_enter_the_pair_time(self):
         constants = PhysicalConstants()
         perfect = spdc_time(100.0, SpdcParams(), constants)
-        noisy = spdc_time(100.0, SpdcParams(visibility=0.9), constants)
-        assert noisy > perfect
+        for visibility in (0.9, 0.3, 0.0):
+            assert spdc_time(100.0, SpdcParams(visibility=visibility),
+                             constants) == perfect

@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from muxrepeater import montecarlo
-from muxrepeater.chain import expected_max_rounds, mean_entanglement, spdc_time
+from muxrepeater import chain, cli, montecarlo
+from muxrepeater.chain import expected_max_rounds, mean_entanglement
 from muxrepeater.cli import _usable_cpus, _z_score, build_parser, run
+from muxrepeater.link import transmission
 from muxrepeater.modes import ModeSpace
 from muxrepeater.params import (PhysicalConstants, SpdcParams, dump_config,
                                 load_config)
@@ -73,19 +74,26 @@ class TestCommands:
                 ("pg-curve", "10:250:0"), ("pg-curve", "10:250:-3"),
                 ("pg-curve", "10:250:5:"), ("pg-curve", ""),
                 ("rate-curve", "-1e308:1e308:3"), ("optimize", "nan:1:3"),
-                ("spdc", "1e400:1e401:3"), ("ef-curve", "10:250:-3")):
+                ("spdc", "1e400:1e401:3"), ("ef-curve", "10:250:-3"),
+                # geomspace's interior point overflows past the largest double
+                ("pg-curve", "1.7976931348623e308:1.7976931348623157e308:3:log"),
+                ("spdc", "1.7976931348623e308:1.7976931348623157e308:3:log")):
             assert run([command, f"--grid={text}"]) == 2, (command, text)
             out, err = capsys.readouterr()
-            rule = ("finite 0 < start < stop"
+            rule = ("0 < start < stop"
                     if command in ("rate-curve", "optimize") else
-                    "finite 0 <= start < stop (start > 0 on a log grid)")
+                    "0 <= start < stop (start > 0 on a log grid)")
             assert out == ""
             assert f"got {text!r}" in err
-            assert f"at least 2 points and {rule}" in err
+            assert f"at least 2 points, all finite, and {rule}" in err
 
     @pytest.mark.parametrize("command, text, code", [
         ("pg-curve", "0:5e-324:2", 0),
         ("pg-curve", "1e-320:1e-300:3:log", 0),
+        # numpy's geomspace overflows in 10**log10(stop) on the way to these
+        # points (a RuntimeWarning fails the test) and sets the last to stop
+        ("pg-curve", "1:1.7976931348623157e308:3:log", 0),
+        ("spdc", "1:1.7976931348623157e308:3:log", 0),
         ("pg-curve", "-0:10:3", 0),
         ("spdc", "-0:10:3", 0),
         ("rate-curve", "-0:10:3", 2),
@@ -540,6 +548,7 @@ class TestCommands:
     @pytest.mark.parametrize("visibility", [0.9, 0.3])
     def test_spdc_rows_follow_source_visibility(self, tmp_path, capsys,
                                                 visibility):
+        # independent of spdc_time: rate from the transmission, E_F once
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"spdc": {"visibility": visibility}}))
         assert run(["rate-curve", "--grid", "100:200:2", "--n-max", "4",
@@ -549,22 +558,73 @@ class TestCommands:
             io.StringIO(capsys.readouterr().out)) if row["platform"] == "SPDC"]
         assert len(rows) == 2
         source, constants = SpdcParams(visibility=visibility), PhysicalConstants()
-        ef = entanglement_of_formation(visibility)
+        ef = float(entanglement_of_formation(visibility))
         for row in rows:
             l_km = float(row["L_km"])
-            per_pair = spdc_time(l_km, SpdcParams(), constants) * 1e-6
-            per_ebit = spdc_time(l_km, source, constants) * 1e-6
+            rate = source.chi * source.eta_s ** 2 * source.f_rep * \
+                transmission(l_km, constants.alpha)
             assert row["mean_EF"] == format_csv_value(ef)
-            assert row["T_tot_s"] == format_csv_value(per_pair)
-            assert row["T_per_ebit_s"] == format_csv_value(per_ebit)
+            assert row["T_tot_s"] == format_csv_value(1.0 / rate * 1e-6)
             assert "nan" not in row.values()
             if visibility > 1 / 3:
                 assert 0.78 < ef < 0.79
+                per_ebit = 1.0 / rate / ef * 1e-6
+                assert row["T_per_ebit_s"] == format_csv_value(per_ebit)
                 assert row["R_ebit_per_s"] == format_csv_value(1.0 / per_ebit)
             else:
                 assert ef == 0.0
                 assert row["R_ebit_per_s"] == format_csv_value(0.0)
                 assert row["T_per_ebit_s"] == "inf"
+
+    def test_spdc_rows_take_ef_once_and_one_pair_time_per_distance(
+            self, monkeypatch, capsys):
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(cli, "entanglement_of_formation", counting(
+            "ef", cli.entanglement_of_formation))
+        monkeypatch.setattr(chain, "spdc_time", counting(
+            "spdc_time", chain.spdc_time))
+        assert run(["spdc", "--grid", "100:1000:10"]) == 0
+        capsys.readouterr()
+        assert calls == ["ef"] + ["spdc_time"] * 10
+
+    def test_imperfect_visibility_costs_time(self, tmp_path, capsys):
+        # a pair from a V = 0.9 source carries under one ebit
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spdc": {"visibility": 0.9}}))
+        assert run(["rate-curve", "--grid", "100:1000:3", "--n-max", "4",
+                    "--platforms", "Temporal", "--archs", "ahierarchical",
+                    "--format", "json", "--config", str(cfg)]) == 0
+        rows = [row for row in json.loads(capsys.readouterr().out)
+                if row["platform"] == "SPDC"]
+        assert len(rows) == 3
+        for row in rows:
+            assert row["T_per_ebit_s"] > row["T_tot_s"]
+
+    @pytest.mark.parametrize("visibility", [1.0, 0.9, 0.3])
+    def test_spdc_rows_past_zero_rate(self, tmp_path, capsys, visibility):
+        # from 16,181 km the pair rate underflows to exactly 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spdc": {"visibility": visibility}}))
+        source, constants = SpdcParams(), PhysicalConstants()
+        assert run(["rate-curve", "--grid", "16181:20000:3", "--n-max", "4",
+                    "--platforms", "Temporal", "--archs", "ahierarchical",
+                    "--format", "json", "--config", str(cfg)]) == 0
+        rows = [row for row in json.loads(capsys.readouterr().out)
+                if row["platform"] == "SPDC"]
+        assert [row["L_km"] for row in rows] == [16181.0, 18090.5, 20000.0]
+        for row in rows:
+            assert source.chi * source.eta_s ** 2 * source.f_rep * \
+                transmission(row["L_km"], constants.alpha) == 0.0
+            # json prints inf as null
+            assert row["T_tot_s"] is None and row["T_per_ebit_s"] is None
+            assert row["R_ebit_per_s"] == 0.0
 
     def test_limits_use_effective_chi(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

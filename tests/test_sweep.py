@@ -231,8 +231,9 @@ class TestBaselineCrossover:
         def times(l_km):
             rec = sweep([l_km], [wv], ["ahierarchical"], bundle.constants,
                         space)[0]
-            return rec.t_per_ebit_s, spdc_time(l_km, bundle.spdc,
-                                               bundle.constants) * 1e-6
+            t_pair_s = spdc_time(l_km, bundle.spdc, bundle.constants) * 1e-6
+            ef = werner.entanglement_of_formation(bundle.spdc.visibility)
+            return rec.t_per_ebit_s, t_pair_s / ef
 
         chain_200, direct_200 = times(200.0)
         chain_400, direct_400 = times(400.0)
